@@ -24,7 +24,7 @@
 //! ```text
 //! ckpt-exp run --study golden|bench [--id ID] [--resume ID]
 //!              [--traces N] [--study-root DIR] [--checkpoint-items N]
-//!              [--checkpoint-secs S] [--trace-block B] [--max-checkpoints N]
+//!              [--checkpoint-secs S] [--max-checkpoints N]
 //!              [--kill-at FRAC] [--prewarm] [--no-checkpoint] [--threads N]
 //!              [--progress]
 //! ckpt-exp study ls [--study-root DIR]
@@ -144,7 +144,6 @@ struct RunArgs {
     root: PathBuf,
     checkpoint_items: u64,
     checkpoint_secs: f64,
-    trace_block: usize,
     max_checkpoints: usize,
     kill_at: Option<f64>,
     prewarm: bool,
@@ -162,7 +161,6 @@ fn parse_run_args(rest: &[String]) -> RunArgs {
         root: PathBuf::from("results/study"),
         checkpoint_items: 64,
         checkpoint_secs: 30.0,
-        trace_block: 4,
         max_checkpoints: 3,
         kill_at: None,
         prewarm: false,
@@ -184,9 +182,6 @@ fn parse_run_args(rest: &[String]) -> RunArgs {
             }
             "--checkpoint-secs" => {
                 args.checkpoint_secs = next("--checkpoint-secs S").parse().expect("number")
-            }
-            "--trace-block" => {
-                args.trace_block = next("--trace-block B").parse().expect("number")
             }
             "--max-checkpoints" => {
                 args.max_checkpoints = next("--max-checkpoints N").parse().expect("number")
@@ -297,7 +292,6 @@ fn cmd_run(rest: &[String]) -> i32 {
         interval_items: args.checkpoint_items,
         interval_seconds: args.checkpoint_secs,
         max_checkpoints: args.max_checkpoints,
-        trace_block: args.trace_block,
         golden_dir: Some(PathBuf::from("results/golden")),
         kill_at: args.kill_at,
         progress: args.progress,

@@ -1,63 +1,67 @@
-//! Durable, resumable study execution: the checkpointed counterpart of
-//! [`Study::run_all`](crate::study::Study::run_all).
+//! Durable, resumable study execution: [`Study::run_all`](crate::study::Study::run_all)
+//! with a checkpoint store attached.
 //!
-//! The in-memory pipeline (`Scenario → SimPlan → ExecOutput →
-//! ScenarioResult`) becomes a restartable state machine in three parts:
+//! A durable study runs through the same engine as an in-memory one —
+//! per cell, [`plan_scenario`] → [`crate::exec::drive`] →
+//! [`crate::reduce::reduce`], via [`crate::runner::run_cell`] — and the
+//! store is a log of that engine's task results:
 //!
-//! * a **manifest** — the full study decomposed into typed
-//!   [`WorkItem`]s (cell × policy × trace-block, plus lower-bound,
-//!   candidate and refine items), persisted once per study with a
-//!   content **fingerprint** over everything the numbers depend on
-//!   (scenario labels, [`DistId`](ckpt_policies::DistId)s, rosters,
-//!   runner options, the SIMD lane width, the committed golden hash).
-//!   A resume whose rebuilt fingerprint differs is *rejected*, never
-//!   silently reused;
+//! * a **manifest** — every plan task the study is known to need before
+//!   it runs (roster policies, lower bounds and coarse candidates, one
+//!   [`WorkItem`] per task), keyed by the plan's task id offset per
+//!   cell, persisted once per study with a content **fingerprint** over
+//!   everything the numbers depend on (scenario labels,
+//!   [`DistId`](ckpt_policies::DistId)s, rosters, runner options, the
+//!   SIMD lane width, the committed golden hash). A resume whose rebuilt
+//!   fingerprint differs is *rejected*, never silently reused. Refine
+//!   tasks depend on the coarse incumbent, so the manifest cannot list
+//!   them; they take their ids from the same id space;
 //! * a **checkpoint store** — versioned JSON snapshots under
-//!   `<root>/<id>/ckpt-NNNNNN.json`, each holding every completed
-//!   item's payload (floats as exact `u64` bit patterns). Written every
-//!   `interval_items` completed items *or* `interval_seconds` seconds —
-//!   the latter read through the one sanctioned clock in
-//!   [`ckpt_obs::clock`] — with retention (`max_checkpoints`,
-//!   `keep_final`). Snapshots are full-state, so "move in-progress
-//!   items back to pending" is implicit: pending = manifest − snapshot;
-//! * a **commit layer** ([`crate::reduce::commit`]) that folds the
-//!   per-item payloads in task-ID order — regardless of the order items
-//!   completed in, before or after any number of kills — reconstructing
-//!   the exact [`ExecOutput`](crate::exec::ExecOutput) arithmetic of
-//!   the live executor. A SIGKILL'd-and-resumed study therefore writes
-//!   byte-identical aggregates to an uninterrupted run, at any rayon
-//!   thread count (`tests/study_resume.rs` pins this).
+//!   `<root>/<id>/ckpt-NNNNNN.json`, each holding the whole task log
+//!   (floats as exact `u64` bit patterns). The engine cuts each wave
+//!   into slices of `interval_items` tasks; after a slice a snapshot is
+//!   written when `interval_items` tasks completed since the last one
+//!   *or* `interval_seconds` elapsed — the latter read through the one
+//!   sanctioned clock in [`ckpt_obs::clock`] — with retention
+//!   (`max_checkpoints`, `keep_final`). Snapshots are full-state, so
+//!   "move in-progress tasks back to pending" is implicit: a resume
+//!   seeds the log from the newest snapshot and the engine skips every
+//!   task the log holds.
+//!
+//! Live and resumed runs reduce the same log through the same code, so
+//! a SIGKILL'd-and-resumed study writes byte-identical aggregates to an
+//! uninterrupted run, at any worker count (`tests/study_resume.rs` pins
+//! this).
 //!
 //! Nothing in this module ever stores a wall-clock timestamp: the clock
 //! gates *when* a snapshot is written, never *what* is written.
 
 use crate::error::Error;
-use crate::plan::{self, plan_scenario, SimPlan};
+use crate::exec::{Recorder, TaskLog, Wave};
+use crate::plan::{plan_scenario, SimTask};
 use crate::policies_spec::PolicyKind;
+use crate::progress::StudyProgress;
 use crate::runner::{RunnerOptions, ScenarioResult};
 use crate::scenario::{BuiltDist, Scenario};
-use crate::{cache::TraceCache, jsonio, jsonio::Json};
+use crate::{jsonio, jsonio::Json};
 use ckpt_policies::DistId;
-use ckpt_sim::{lower_bound_makespan, RunStats};
-use ckpt_workload::JobSpec;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-/// On-disk format version of manifests and checkpoints. A snapshot from
-/// any other version is rejected on resume.
-pub const STORE_VERSION: u64 = 1;
+pub use crate::exec::{ItemPayload, TraceStatsBits};
 
-/// Items per rayon chunk of the run loop. Chunks execute strictly in
-/// item-id order; a checkpoint can be cut after any chunk.
-const CHUNK_ITEMS: usize = 8;
+/// On-disk format version of manifests and checkpoints. Documents of
+/// any other version are rejected at parse time.
+pub const STORE_VERSION: u64 = 2;
 
 /// Knobs of the checkpoint store and run loop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CheckpointConfig {
     /// Store root; each study lives under `<root>/<id>/`.
     pub root: PathBuf,
-    /// Write a checkpoint after this many newly completed items.
+    /// Tasks per slice of a wave, and a checkpoint after this many
+    /// newly completed tasks.
     pub interval_items: u64,
     /// … or after this many seconds since the last write, whichever
     /// comes first (read through the sanctioned `ckpt_obs` clock).
@@ -67,16 +71,14 @@ pub struct CheckpointConfig {
     /// Keep the final snapshot after the study completes; `false`
     /// removes every `ckpt-*.json` once the aggregates are written.
     pub keep_final: bool,
-    /// Traces per work item (the "trace-block" of the manifest).
-    pub trace_block: usize,
     /// Directory of committed golden files to fold into the manifest
     /// fingerprint (`None` ⇒ a zero golden hash).
     pub golden_dir: Option<PathBuf>,
-    /// Test hook: abort the run loop (no status, no checkpoint — as if
-    /// killed between snapshots) once this many items executed.
+    /// Test hook: abort the run (no status, no checkpoint — as if
+    /// killed between snapshots) once this many tasks executed.
     pub stop_after_items: Option<u64>,
     /// CLI hook: SIGKILL our own process once `completed ≥ frac·total`,
-    /// *before* the snapshot that would cover those items.
+    /// *before* the snapshot that would cover those tasks.
     pub kill_at: Option<f64>,
     /// Emit live progress lines on stderr (`run --study … --progress`).
     /// `progress.json` snapshots are written to the store regardless.
@@ -91,7 +93,6 @@ impl Default for CheckpointConfig {
             interval_seconds: 30.0,
             max_checkpoints: 3,
             keep_final: true,
-            trace_block: 4,
             golden_dir: None,
             stop_after_items: None,
             kill_at: None,
@@ -151,122 +152,16 @@ impl StudyDef {
     }
 }
 
-/// One deterministic unit of study work, identified entirely by indices
-/// into the manifest (so payloads rebind to items across processes).
+/// One plan task of a study — the unit the store records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkItem {
-    /// Global item id; items execute in id order.
+    /// Study-wide task id: the cell's [`ManifestCell::task_base`] plus
+    /// the plan's [`task_id`](crate::plan::SimPlan::task_id).
     pub id: u64,
     /// Index into [`StudyDef::cells`].
     pub cell: usize,
-    /// What the item simulates.
-    pub kind: ItemKind,
-    /// First trace index covered (inclusive).
-    pub trace_lo: usize,
-    /// Last trace index covered (exclusive).
-    pub trace_hi: usize,
-}
-
-/// The simulation kind of a [`WorkItem`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ItemKind {
-    /// Roster policy `policy` over the item's trace block.
-    Policy {
-        /// Index into the cell's roster.
-        policy: usize,
-    },
-    /// Omniscient lower bound over the trace block.
-    LowerBound,
-    /// `PeriodLB` coarse candidate `candidate` over the trace block.
-    Coarse {
-        /// Index into the cell's factor grid.
-        candidate: usize,
-    },
-    /// The refine wave: depends on every `Coarse` item of its cell
-    /// (smaller ids — the run loop's strict id order is the barrier),
-    /// fans out over (fresh candidate × trace) internally.
-    Refine,
-}
-
-/// One simulation's stats, floats as exact bit patterns. Makespans must
-/// decode finite (the store's NaN/Inf-free invariant); `chunk_min` is
-/// legitimately `+∞` when a run made no decisions, so chunk bounds are
-/// exempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceStatsBits {
-    /// `RunStats::makespan` bits.
-    pub makespan: u64,
-    /// Failures hit.
-    pub failures: u64,
-    /// Decision points.
-    pub decisions: u64,
-    /// `RunStats::chunk_min` bits.
-    pub chunk_min: u64,
-    /// `RunStats::chunk_max` bits.
-    pub chunk_max: u64,
-}
-
-impl TraceStatsBits {
-    fn of(st: &RunStats) -> Self {
-        Self {
-            makespan: st.makespan.to_bits(),
-            failures: st.failures,
-            decisions: st.decisions,
-            chunk_min: st.chunk_min.to_bits(),
-            chunk_max: st.chunk_max.to_bits(),
-        }
-    }
-
-    /// The makespan as a float.
-    pub fn makespan_f64(&self) -> f64 {
-        f64::from_bits(self.makespan)
-    }
-}
-
-/// One refine-wave column: a fresh candidate's stats over all traces.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RefineColumn {
-    /// Grid index of the candidate.
-    pub candidate: usize,
-    /// Stats in trace order, one per trace.
-    pub stats: Vec<TraceStatsBits>,
-}
-
-/// The persisted result of one completed [`WorkItem`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ItemPayload {
-    /// A roster-policy block: build outcome plus per-trace stats
-    /// (empty when the policy could not be built for the cell).
-    Policy {
-        /// Whether the registry built the policy.
-        built: bool,
-        /// The build-failure reason (empty when `built`).
-        reason: String,
-        /// Stats in trace order over the item's block.
-        stats: Vec<TraceStatsBits>,
-    },
-    /// Lower-bound makespans (bits) in trace order over the block.
-    LowerBound {
-        /// Makespan bit patterns.
-        makespans: Vec<u64>,
-    },
-    /// A coarse candidate block.
-    Coarse {
-        /// Stats in trace order over the item's block.
-        stats: Vec<TraceStatsBits>,
-    },
-    /// The refine wave's fresh columns (possibly empty when the window
-    /// only contains already-evaluated coarse candidates).
-    Refine {
-        /// One column per fresh candidate, in grid order.
-        columns: Vec<RefineColumn>,
-    },
-    /// The cell's distribution could not be built; every item of the
-    /// cell carries the same error and the cell commits to `Err`.
-    CellFailed {
-        /// Display of the build error.
-        error: String,
-    },
+    /// What the task simulates.
+    pub task: SimTask,
 }
 
 /// One cell's identity row in the manifest — everything its numbers
@@ -295,8 +190,11 @@ pub struct ManifestCell {
     pub coarse: Vec<usize>,
     /// Refine stride; `0` ⇒ no refine wave.
     pub refine_step: usize,
-    /// Whether lower-bound items exist.
+    /// Whether lower-bound tasks exist.
     pub lower_bound: bool,
+    /// First task id of the cell: its plan's ids, offset by this, are
+    /// unique across the study.
+    pub task_base: u64,
 }
 
 /// The persisted decomposition of a study, with its content fingerprint.
@@ -306,19 +204,19 @@ pub struct StudyManifest {
     pub version: u64,
     /// Study id.
     pub study: String,
-    /// FNV-1a 64 over the manifest serialised with this field empty,
-    /// as 16 hex digits.
+    /// FNV-1a 64 over the manifest's head (everything but the task
+    /// list, which derives from the cell rows) serialised with this
+    /// field empty, as 16 hex digits.
     pub fingerprint: String,
     /// SIMD lane width the kernels were compiled for.
     pub lanes: usize,
-    /// Traces per work item.
-    pub trace_block: usize,
     /// FNV-1a 64 over the committed golden files (16 hex digits;
     /// all-zero when no golden directory was configured).
     pub golden_hash: String,
     /// Per-cell identity rows.
     pub cells: Vec<ManifestCell>,
-    /// Every work item, in execution (id) order.
+    /// Every task known before the run, in id order. A cell whose
+    /// distribution cannot be built runs none and lists none.
     pub items: Vec<WorkItem>,
 }
 
@@ -329,11 +227,12 @@ pub struct StudyReport {
     pub id: String,
     /// `(stem, result)` per cell, in definition order.
     pub results: Vec<(String, Result<ScenarioResult, Error>)>,
-    /// Items in the manifest.
+    /// Tasks in the manifest.
     pub items_total: u64,
-    /// Items restored from the resumed checkpoint.
+    /// Task results restored from the resumed checkpoint (refine tasks
+    /// included).
     pub items_resumed: u64,
-    /// Items executed by this process.
+    /// Tasks executed by this process (refine tasks included).
     pub items_executed: u64,
     /// Checkpoints written by this process.
     pub checkpoints_written: u64,
@@ -345,11 +244,11 @@ pub enum StudyOutcome {
     /// Ran to completion; aggregates are on disk.
     Complete(StudyReport),
     /// The `stop_after_items` hook fired (test emulation of a kill
-    /// between checkpoints — nothing was written for the final chunk).
+    /// between checkpoints — nothing was written for the last slice).
     Stopped {
-        /// Completed items at the stop, including resumed ones.
+        /// Task results in the log at the stop, resumed ones included.
         completed: u64,
-        /// Total items in the manifest.
+        /// Tasks in the manifest.
         total: u64,
     },
 }
@@ -409,8 +308,8 @@ fn golden_hash(dir: Option<&Path>) -> u64 {
 /// Stable persistent distribution identity: the value fingerprint when
 /// the distribution has one, else the spec label (never the
 /// process-local instance id, which would poison resume).
-fn dist_identity(scenario: &Scenario) -> String {
-    match scenario.dist.try_build() {
+fn dist_identity(scenario: &Scenario, built: &Result<BuiltDist, Error>) -> String {
+    match built {
         Ok(built) => match DistId::of(built.dist.as_ref()) {
             DistId::Shared(fp) => format!("fp:{fp:016x}"),
             DistId::Instance(_) => format!("label:{}", scenario.dist.label()),
@@ -419,65 +318,53 @@ fn dist_identity(scenario: &Scenario) -> String {
     }
 }
 
-/// Decompose a study into its manifest (typed items + fingerprint).
+/// Decompose a study into its manifest (typed tasks + fingerprint).
 pub fn build_manifest(def: &StudyDef, config: &CheckpointConfig) -> StudyManifest {
-    let block = config.trace_block.max(1);
     let mut cells = Vec::with_capacity(def.cells.len());
     let mut items: Vec<WorkItem> = Vec::new();
-    let mut id: u64 = 0;
-    let mut push = |items: &mut Vec<WorkItem>, cell, kind, lo, hi| {
-        items.push(WorkItem { id, cell, kind, trace_lo: lo, trace_hi: hi });
-        id += 1;
-    };
+    let mut task_base: u64 = 0;
     for (c, cell) in def.cells.iter().enumerate() {
         let sim_plan = plan_scenario(&cell.scenario, &cell.kinds, &cell.options);
-        let blocks: Vec<(usize, usize)> = (0..sim_plan.traces)
-            .step_by(block)
-            .map(|lo| (lo, (lo + block).min(sim_plan.traces)))
-            .collect();
-        for policy in 0..sim_plan.kinds.len() {
-            for &(lo, hi) in &blocks {
-                push(&mut items, c, ItemKind::Policy { policy }, lo, hi);
-            }
-        }
-        if sim_plan.lower_bound {
-            for &(lo, hi) in &blocks {
-                push(&mut items, c, ItemKind::LowerBound, lo, hi);
-            }
-        }
-        for &candidate in &sim_plan.coarse {
-            for &(lo, hi) in &blocks {
-                push(&mut items, c, ItemKind::Coarse { candidate }, lo, hi);
-            }
-        }
-        if sim_plan.refine_step.is_some() && !sim_plan.grid.is_empty() {
-            push(&mut items, c, ItemKind::Refine, 0, sim_plan.traces);
+        let built = cell.scenario.dist.try_build();
+        // A cell whose distribution cannot be built commits to its
+        // build error without running a task, so it lists none.
+        if built.is_ok() {
+            let first = items.len();
+            let mut tasks = sim_plan.roster_wave();
+            tasks.extend(sim_plan.candidate_wave(&sim_plan.coarse));
+            items.extend(tasks.into_iter().map(|task| WorkItem {
+                id: task_base + sim_plan.task_id(&task),
+                cell: c,
+                task,
+            }));
+            items[first..].sort_by_key(|item| item.id);
         }
         cells.push(ManifestCell {
             label: cell.scenario.label.clone(),
             stem: cell.stem.clone(),
             procs: cell.scenario.procs,
             traces: sim_plan.traces,
-            dist_id: dist_identity(&cell.scenario),
+            dist_id: dist_identity(&cell.scenario, &built),
             roster: cell.kinds.iter().map(|k| format!("{k:?}")).collect(),
             options: format!("{:?}", cell.options),
             grid_len: sim_plan.grid.len(),
             coarse: sim_plan.coarse.clone(),
             refine_step: sim_plan.refine_step.unwrap_or(0),
             lower_bound: sim_plan.lower_bound,
+            task_base,
         });
+        task_base += sim_plan.task_count();
     }
     let mut manifest = StudyManifest {
         version: STORE_VERSION,
         study: def.id.clone(),
         fingerprint: String::new(),
         lanes: ckpt_math::simd::LANES,
-        trace_block: block,
         golden_hash: format!("{:016x}", golden_hash(config.golden_dir.as_deref())),
         cells,
         items,
     };
-    manifest.fingerprint = format!("{:016x}", fnv1a(manifest_json(&manifest).as_bytes()));
+    manifest.fingerprint = format!("{:016x}", fnv1a(manifest_head_json(&manifest).as_bytes()));
     manifest
 }
 
@@ -489,76 +376,63 @@ fn json_str(s: &str) -> String {
     format!("\"{}\"", serde_json::escape_str(s))
 }
 
-fn stats_json(st: &TraceStatsBits) -> String {
-    format!(
-        "{{\"makespan\": {}, \"failures\": {}, \"decisions\": {}, \
-         \"chunk_min\": {}, \"chunk_max\": {}}}",
-        st.makespan, st.failures, st.decisions, st.chunk_min, st.chunk_max
-    )
-}
-
-fn stats_list_json(stats: &[TraceStatsBits]) -> String {
-    let inner: Vec<String> = stats.iter().map(stats_json).collect();
-    format!("[{}]", inner.join(", "))
-}
-
-fn payload_json(p: &ItemPayload) -> String {
-    match p {
-        ItemPayload::Policy { built, reason, stats } => format!(
-            "{{\"kind\": \"policy\", \"built\": {built}, \"reason\": {}, \"stats\": {}}}",
-            json_str(reason),
-            stats_list_json(stats)
+/// Append one log entry: `{"id": N, "sim": [makespan, failures,
+/// decisions, chunk_min, chunk_max]}`, `{"id": N, "lower_bound": bits}`
+/// or `{"id": N, "unbuilt": reason}`. Written straight into the
+/// snapshot buffer: a snapshot holds the whole log, so this runs for
+/// every entry of every snapshot.
+fn push_entry(s: &mut String, id: u64, p: &ItemPayload) {
+    let _ = match p {
+        ItemPayload::Sim(st) => write!(
+            s,
+            "{{\"id\": {id}, \"sim\": [{}, {}, {}, {}, {}]}}",
+            st.makespan, st.failures, st.decisions, st.chunk_min, st.chunk_max
         ),
-        ItemPayload::LowerBound { makespans } => {
-            let inner: Vec<String> = makespans.iter().map(u64::to_string).collect();
-            format!("{{\"kind\": \"lower_bound\", \"makespans\": [{}]}}", inner.join(", "))
+        ItemPayload::LowerBound(bits) => write!(s, "{{\"id\": {id}, \"lower_bound\": {bits}}}"),
+        ItemPayload::Unbuilt { reason } => {
+            write!(s, "{{\"id\": {id}, \"unbuilt\": {}}}", json_str(reason))
         }
-        ItemPayload::Coarse { stats } => {
-            format!("{{\"kind\": \"coarse\", \"stats\": {}}}", stats_list_json(stats))
-        }
-        ItemPayload::Refine { columns } => {
-            let cols: Vec<String> = columns
-                .iter()
-                .map(|c| {
-                    format!(
-                        "{{\"candidate\": {}, \"stats\": {}}}",
-                        c.candidate,
-                        stats_list_json(&c.stats)
-                    )
-                })
-                .collect();
-            format!("{{\"kind\": \"refine\", \"columns\": [{}]}}", cols.join(", "))
-        }
-        ItemPayload::CellFailed { error } => {
-            format!("{{\"kind\": \"cell_failed\", \"error\": {}}}", json_str(error))
-        }
-    }
+    };
 }
 
 fn item_json(it: &WorkItem) -> String {
-    let (kind, index) = match it.kind {
-        ItemKind::Policy { policy } => ("policy", policy as i64),
-        ItemKind::LowerBound => ("lower_bound", -1),
-        ItemKind::Coarse { candidate } => ("coarse", candidate as i64),
-        ItemKind::Refine => ("refine", -1),
+    let (kind, index) = match it.task {
+        SimTask::Policy { policy, .. } => ("policy", policy as i64),
+        SimTask::LowerBound { .. } => ("lower_bound", -1),
+        SimTask::Candidate { candidate, .. } => ("candidate", candidate as i64),
     };
     format!(
-        "{{\"id\": {}, \"cell\": {}, \"kind\": \"{kind}\", \"index\": {index}, \
-         \"trace_lo\": {}, \"trace_hi\": {}}}",
-        it.id, it.cell, it.trace_lo, it.trace_hi
+        "{{\"id\": {}, \"cell\": {}, \"kind\": \"{kind}\", \"index\": {index}, \"trace\": {}}}",
+        it.id,
+        it.cell,
+        it.task.trace()
     )
 }
 
-/// Serialise a manifest. With `fingerprint` emptied this is also the
-/// fingerprint's hash input, so the serialisation *is* the identity.
+/// Serialise a manifest: its head (identity and cell rows), then the
+/// task list.
 pub fn manifest_json(m: &StudyManifest) -> String {
+    let mut s = manifest_head_json(m);
+    s.push_str("  \"items\": [\n");
+    for (i, it) in m.items.iter().enumerate() {
+        s.push_str("    ");
+        s.push_str(&item_json(it));
+        s.push_str(if i + 1 < m.items.len() { ",\n" } else { "\n" });
+    }
+    s.push_str("  ]\n}\n");
+    s
+}
+
+/// The manifest's head: every field but the task list, which is a pure
+/// function of the cell rows. With `fingerprint` emptied this is the
+/// fingerprint's hash input, so the serialisation *is* the identity.
+fn manifest_head_json(m: &StudyManifest) -> String {
     let mut s = String::new();
     s.push_str("{\n");
     s.push_str(&format!("  \"version\": {},\n", m.version));
     s.push_str(&format!("  \"study\": {},\n", json_str(&m.study)));
     s.push_str(&format!("  \"fingerprint\": {},\n", json_str(&m.fingerprint)));
     s.push_str(&format!("  \"lanes\": {},\n", m.lanes));
-    s.push_str(&format!("  \"trace_block\": {},\n", m.trace_block));
     s.push_str(&format!("  \"golden_hash\": {},\n", json_str(&m.golden_hash)));
     s.push_str("  \"cells\": [\n");
     for (i, c) in m.cells.iter().enumerate() {
@@ -567,7 +441,7 @@ pub fn manifest_json(m: &StudyManifest) -> String {
         s.push_str(&format!(
             "    {{\"label\": {}, \"stem\": {}, \"procs\": {}, \"traces\": {}, \
              \"dist_id\": {}, \"roster\": [{}], \"options\": {}, \"grid_len\": {}, \
-             \"coarse\": [{}], \"refine_step\": {}, \"lower_bound\": {}}}",
+             \"coarse\": [{}], \"refine_step\": {}, \"lower_bound\": {}, \"task_base\": {}}}",
             json_str(&c.label),
             json_str(&c.stem),
             c.procs,
@@ -579,37 +453,29 @@ pub fn manifest_json(m: &StudyManifest) -> String {
             coarse.join(", "),
             c.refine_step,
             c.lower_bound,
+            c.task_base,
         ));
         s.push_str(if i + 1 < m.cells.len() { ",\n" } else { "\n" });
     }
-    s.push_str("  ],\n  \"items\": [\n");
-    for (i, it) in m.items.iter().enumerate() {
-        s.push_str("    ");
-        s.push_str(&item_json(it));
-        s.push_str(if i + 1 < m.items.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
+    s.push_str("  ],\n");
     s
 }
 
-/// Serialise one checkpoint snapshot (full completed state).
-pub fn checkpoint_json(
-    study: &str,
-    fingerprint: &str,
-    seq: u64,
-    completed: &BTreeMap<u64, ItemPayload>,
-) -> String {
-    let mut s = String::new();
+/// Serialise one checkpoint snapshot (the whole task log).
+pub fn checkpoint_json(study: &str, fingerprint: &str, seq: u64, completed: &TaskLog) -> String {
+    let mut s = String::with_capacity(128 + 96 * completed.len());
     s.push_str("{\n");
     s.push_str(&format!("  \"version\": {STORE_VERSION},\n"));
     s.push_str(&format!("  \"study\": {},\n", json_str(study)));
     s.push_str(&format!("  \"fingerprint\": {},\n", json_str(fingerprint)));
     s.push_str(&format!("  \"seq\": {seq},\n"));
     s.push_str("  \"completed\": [\n");
-    let n = completed.len();
     for (i, (id, payload)) in completed.iter().enumerate() {
-        s.push_str(&format!("    {{\"id\": {id}, \"payload\": {}}}", payload_json(payload)));
-        s.push_str(if i + 1 < n { ",\n" } else { "\n" });
+        s.push_str(if i == 0 { "    " } else { ",\n    " });
+        push_entry(&mut s, *id, payload);
+    }
+    if !completed.is_empty() {
+        s.push('\n');
     }
     s.push_str("  ]\n}\n");
     s
@@ -646,6 +512,20 @@ fn get_arr<'a>(v: &'a Json, key: &str) -> Result<&'a [Json], Error> {
     v.get(key).and_then(Json::as_arr).ok_or_else(|| bad(format!("missing array `{key}`")))
 }
 
+/// Read a document's `version` first: a store of another version is
+/// rejected by name, before any of its fields can be misread.
+fn check_version(v: &Json, what: &str) -> Result<u64, Error> {
+    let version = get_u64(v, "version")?;
+    if version == STORE_VERSION {
+        Ok(version)
+    } else {
+        Err(bad(format!(
+            "{what} has store version {version}, but this build reads version \
+             {STORE_VERSION} only — rerun the study under a new id"
+        )))
+    }
+}
+
 /// The finite-makespan invariant: a persisted makespan bit pattern must
 /// decode to a finite float (NaN/Inf would silently poison downstream
 /// means and golden bytes; chunk bounds are exempt — `chunk_min` is
@@ -658,83 +538,53 @@ fn check_finite_makespan(bits: u64) -> Result<u64, Error> {
     }
 }
 
-fn parse_stats(v: &Json) -> Result<TraceStatsBits, Error> {
-    Ok(TraceStatsBits {
-        makespan: check_finite_makespan(get_u64(v, "makespan")?)?,
-        failures: get_u64(v, "failures")?,
-        decisions: get_u64(v, "decisions")?,
-        chunk_min: get_u64(v, "chunk_min")?,
-        chunk_max: get_u64(v, "chunk_max")?,
-    })
-}
-
-fn parse_stats_list(v: &Json, key: &str) -> Result<Vec<TraceStatsBits>, Error> {
-    get_arr(v, key)?.iter().map(parse_stats).collect()
-}
-
 fn parse_payload(v: &Json) -> Result<ItemPayload, Error> {
-    match get_str(v, "kind")?.as_str() {
-        "policy" => Ok(ItemPayload::Policy {
-            built: get_bool(v, "built")?,
-            reason: get_str(v, "reason")?,
-            stats: parse_stats_list(v, "stats")?,
-        }),
-        "lower_bound" => Ok(ItemPayload::LowerBound {
-            makespans: get_arr(v, "makespans")?
-                .iter()
-                .map(|m| {
-                    m.as_u64()
-                        .ok_or_else(|| bad("bad lower-bound bits"))
-                        .and_then(check_finite_makespan)
-                })
-                .collect::<Result<_, _>>()?,
-        }),
-        "coarse" => Ok(ItemPayload::Coarse { stats: parse_stats_list(v, "stats")? }),
-        "refine" => Ok(ItemPayload::Refine {
-            columns: get_arr(v, "columns")?
-                .iter()
-                .map(|c| {
-                    Ok(RefineColumn {
-                        candidate: get_usize(c, "candidate")?,
-                        stats: parse_stats_list(c, "stats")?,
-                    })
-                })
-                .collect::<Result<_, Error>>()?,
-        }),
-        "cell_failed" => Ok(ItemPayload::CellFailed { error: get_str(v, "error")? }),
-        other => Err(bad(format!("unknown payload kind `{other}`"))),
+    if let Some(sim) = v.get("sim") {
+        let fields = sim
+            .as_arr()
+            .filter(|f| f.len() == 5)
+            .ok_or_else(|| bad("`sim` must hold 5 integers"))?;
+        let field = |i: usize| fields[i].as_u64().ok_or_else(|| bad("bad `sim` field"));
+        return Ok(ItemPayload::Sim(TraceStatsBits {
+            makespan: check_finite_makespan(field(0)?)?,
+            failures: field(1)?,
+            decisions: field(2)?,
+            chunk_min: field(3)?,
+            chunk_max: field(4)?,
+        }));
     }
+    if v.get("lower_bound").is_some() {
+        return Ok(ItemPayload::LowerBound(check_finite_makespan(get_u64(v, "lower_bound")?)?));
+    }
+    if v.get("unbuilt").is_some() {
+        return Ok(ItemPayload::Unbuilt { reason: get_str(v, "unbuilt")? });
+    }
+    Err(bad("log entry holds no known payload"))
 }
 
 fn parse_item(v: &Json) -> Result<WorkItem, Error> {
-    let kind = match get_str(v, "kind")?.as_str() {
-        "policy" => ItemKind::Policy { policy: get_usize(v, "index")? },
-        "lower_bound" => ItemKind::LowerBound,
-        "coarse" => ItemKind::Coarse { candidate: get_usize(v, "index")? },
-        "refine" => ItemKind::Refine,
-        other => return Err(bad(format!("unknown item kind `{other}`"))),
+    let trace = get_usize(v, "trace")?;
+    let task = match get_str(v, "kind")?.as_str() {
+        "policy" => SimTask::Policy { policy: get_usize(v, "index")?, trace },
+        "lower_bound" => SimTask::LowerBound { trace },
+        "candidate" => SimTask::Candidate { candidate: get_usize(v, "index")?, trace },
+        other => return Err(bad(format!("unknown task kind `{other}`"))),
     };
-    Ok(WorkItem {
-        id: get_u64(v, "id")?,
-        cell: get_usize(v, "cell")?,
-        kind,
-        trace_lo: get_usize(v, "trace_lo")?,
-        trace_hi: get_usize(v, "trace_hi")?,
-    })
+    Ok(WorkItem { id: get_u64(v, "id")?, cell: get_usize(v, "cell")?, task })
 }
 
 /// Parse a manifest document back to its typed form.
 ///
 /// # Errors
-/// [`Error::Checkpoint`] on malformed JSON or missing fields.
+/// [`Error::Checkpoint`] on another store version, malformed JSON or
+/// missing fields.
 pub fn parse_manifest(src: &str) -> Result<StudyManifest, Error> {
     let v = jsonio::parse(src).map_err(|e| bad(format!("manifest: {e}")))?;
     Ok(StudyManifest {
-        version: get_u64(&v, "version")?,
+        version: check_version(&v, "manifest")?,
         study: get_str(&v, "study")?,
         fingerprint: get_str(&v, "fingerprint")?,
         lanes: get_usize(&v, "lanes")?,
-        trace_block: get_usize(&v, "trace_block")?,
         golden_hash: get_str(&v, "golden_hash")?,
         cells: get_arr(&v, "cells")?
             .iter()
@@ -763,6 +613,7 @@ pub fn parse_manifest(src: &str) -> Result<StudyManifest, Error> {
                         .collect::<Result<_, _>>()?,
                     refine_step: get_usize(c, "refine_step")?,
                     lower_bound: get_bool(c, "lower_bound")?,
+                    task_base: get_u64(c, "task_base")?,
                 })
             })
             .collect::<Result<_, Error>>()?,
@@ -781,25 +632,24 @@ pub struct CheckpointFile {
     pub fingerprint: String,
     /// Monotonic snapshot sequence number.
     pub seq: u64,
-    /// Completed payloads by item id.
-    pub completed: BTreeMap<u64, ItemPayload>,
+    /// The task log: results by task id.
+    pub completed: TaskLog,
 }
 
 /// Parse a checkpoint document, enforcing the finite-makespan invariant.
 ///
 /// # Errors
-/// [`Error::Checkpoint`] on malformed JSON, missing fields, or a
-/// non-finite persisted makespan.
+/// [`Error::Checkpoint`] on another store version, malformed JSON,
+/// missing fields, or a non-finite persisted makespan.
 pub fn parse_checkpoint(src: &str) -> Result<CheckpointFile, Error> {
     let v = jsonio::parse(src).map_err(|e| bad(format!("checkpoint: {e}")))?;
+    let version = check_version(&v, "checkpoint")?;
     let mut completed = BTreeMap::new();
     for entry in get_arr(&v, "completed")? {
-        let id = get_u64(entry, "id")?;
-        let payload = entry.get("payload").ok_or_else(|| bad("missing payload"))?;
-        completed.insert(id, parse_payload(payload)?);
+        completed.insert(get_u64(entry, "id")?, parse_payload(entry)?);
     }
     Ok(CheckpointFile {
-        version: get_u64(&v, "version")?,
+        version,
         study: get_str(&v, "study")?,
         fingerprint: get_str(&v, "fingerprint")?,
         seq: get_u64(&v, "seq")?,
@@ -856,10 +706,6 @@ fn prune_checkpoints(dir: &Path, keep: usize) {
     }
 }
 
-fn write_status(dir: &Path, status: &str) -> Result<(), Error> {
-    write_atomic(&dir.join("status"), &format!("{status}\n"))
-}
-
 /// Best-effort flight-recorder dump into the store. Diagnostic only: a
 /// failed write must never fail the study. Without the `obs` feature
 /// (or outside a session) this still writes a valid `recording: false`
@@ -880,202 +726,8 @@ impl Drop for FlightDumpGuard {
 }
 
 // ---------------------------------------------------------------------
-// Item execution
-// ---------------------------------------------------------------------
-
-/// Per-cell execution context, built once per process.
-struct CellCtx {
-    sim_plan: SimPlan,
-    built: Result<BuiltDist, Error>,
-    spec: JobSpec,
-}
-
-impl CellCtx {
-    fn build(cell: &StudyCell) -> Self {
-        Self {
-            sim_plan: plan_scenario(&cell.scenario, &cell.kinds, &cell.options),
-            built: cell.scenario.dist.try_build(),
-            spec: cell.scenario.job_spec(),
-        }
-    }
-}
-
-/// Simulate one candidate factor on one trace — the exact construction
-/// [`crate::exec::search_candidates`] performs per task.
-fn simulate_candidate(
-    ctx: &CellCtx,
-    built: &BuiltDist,
-    scenario: &Scenario,
-    factor: f64,
-    trace: usize,
-) -> TraceStatsBits {
-    let ct = TraceCache::global().get_or_generate(scenario, built, trace);
-    let base = crate::registry::optexp_base(&ctx.spec, built.proc_mtbf);
-    let policy = base.as_fixed_period().scaled(factor);
-    TraceStatsBits::of(&crate::exec::simulate_on(&ctx.spec, &policy, &ct, ctx.sim_plan.sim))
-}
-
-/// The coarse columns of one cell, assembled from completed payloads in
-/// trace order: `columns[candidate] = per-trace makespans`. Shared by
-/// the refine executor (incumbent) and the commit layer (final winner).
-pub(crate) fn assemble_coarse_columns(
-    sim_plan: &SimPlan,
-    cell_items: &[WorkItem],
-    completed: &BTreeMap<u64, ItemPayload>,
-) -> Vec<Option<Vec<f64>>> {
-    let mut columns: Vec<Option<Vec<f64>>> = vec![None; sim_plan.grid.len()];
-    for item in cell_items {
-        let ItemKind::Coarse { candidate } = item.kind else { continue };
-        let Some(ItemPayload::Coarse { stats }) = completed.get(&item.id) else { continue };
-        let col =
-            columns[candidate].get_or_insert_with(|| vec![0.0; sim_plan.traces]);
-        for (k, st) in stats.iter().enumerate() {
-            col[item.trace_lo + k] = st.makespan_f64();
-        }
-    }
-    columns
-}
-
-/// Mean per candidate, summed in trace order — the executor's exact
-/// reduction (`col.iter().sum::<f64>() / len`).
-fn column_means(columns: &[Option<Vec<f64>>]) -> Vec<Option<f64>> {
-    columns
-        .iter()
-        .map(|c| c.as_ref().map(|col| col.iter().sum::<f64>() / col.len().max(1) as f64))
-        .collect()
-}
-
-/// Execute one work item. Pure in the payload: the result depends only
-/// on the manifest position and (for `Refine`) on the cell's completed
-/// coarse payloads, never on wall-clock, thread count, or process
-/// history.
-fn execute_item(
-    def: &StudyDef,
-    ctxs: &[CellCtx],
-    cell_items: &[Vec<WorkItem>],
-    item: &WorkItem,
-    completed: &BTreeMap<u64, ItemPayload>,
-) -> ItemPayload {
-    let _span = ckpt_obs::task_span("study.item", item.id);
-    let cell = &def.cells[item.cell];
-    let ctx = &ctxs[item.cell];
-    let built = match &ctx.built {
-        Ok(b) => b,
-        Err(e) => return ItemPayload::CellFailed { error: e.to_string() },
-    };
-    match item.kind {
-        ItemKind::Policy { policy } => {
-            match crate::registry::build_policy(&ctx.sim_plan.kinds[policy], &cell.scenario, built)
-            {
-                Ok(p) => {
-                    let stats: Vec<TraceStatsBits> = (item.trace_lo..item.trace_hi)
-                        .into_par_iter()
-                        .map(|t| {
-                            let ct =
-                                TraceCache::global().get_or_generate(&cell.scenario, built, t);
-                            TraceStatsBits::of(&crate::exec::simulate_on(
-                                &ctx.spec,
-                                p.as_ref(),
-                                &ct,
-                                ctx.sim_plan.sim,
-                            ))
-                        })
-                        .collect();
-                    ItemPayload::Policy { built: true, reason: String::new(), stats }
-                }
-                Err(e) => {
-                    ItemPayload::Policy { built: false, reason: e.to_string(), stats: Vec::new() }
-                }
-            }
-        }
-        ItemKind::LowerBound => {
-            let makespans: Vec<u64> = (item.trace_lo..item.trace_hi)
-                .into_par_iter()
-                .map(|t| {
-                    let ct = TraceCache::global().get_or_generate(&cell.scenario, built, t);
-                    lower_bound_makespan(&ctx.spec, &ct.traces).makespan.to_bits()
-                })
-                .collect();
-            ItemPayload::LowerBound { makespans }
-        }
-        ItemKind::Coarse { candidate } => {
-            let factor = ctx.sim_plan.grid[candidate];
-            let stats: Vec<TraceStatsBits> = (item.trace_lo..item.trace_hi)
-                .into_par_iter()
-                .map(|t| simulate_candidate(ctx, built, &cell.scenario, factor, t))
-                .collect();
-            ItemPayload::Coarse { stats }
-        }
-        ItemKind::Refine => {
-            // Incumbent from the cell's (already completed — strict id
-            // order) coarse columns, exactly as the live executor picks
-            // it between its waves.
-            let columns =
-                assemble_coarse_columns(&ctx.sim_plan, &cell_items[item.cell], completed);
-            let means = column_means(&columns);
-            let Some(incumbent) = plan::winner(&means) else {
-                return ItemPayload::Refine { columns: Vec::new() };
-            };
-            // Same fresh filter as the live refine wave: candidates the
-            // coarse pass already evaluated are not re-simulated (their
-            // count feeds `candidate_sims`, so it must match too).
-            let fresh: Vec<usize> = ctx
-                .sim_plan
-                .refine_window(incumbent)
-                .filter(|i| !ctx.sim_plan.coarse.contains(i))
-                .collect();
-            let pairs: Vec<(usize, usize)> = fresh
-                .iter()
-                .flat_map(|&c| (0..ctx.sim_plan.traces).map(move |t| (c, t)))
-                .collect();
-            let flat: Vec<TraceStatsBits> = pairs
-                .par_iter()
-                .map(|&(c, t)| {
-                    simulate_candidate(ctx, built, &cell.scenario, ctx.sim_plan.grid[c], t)
-                })
-                .collect();
-            let columns = fresh
-                .iter()
-                .enumerate()
-                .map(|(k, &candidate)| RefineColumn {
-                    candidate,
-                    stats: flat[k * ctx.sim_plan.traces..(k + 1) * ctx.sim_plan.traces].to_vec(),
-                })
-                .collect();
-            ItemPayload::Refine { columns }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // The run loop
 // ---------------------------------------------------------------------
-
-/// Group pending items into execution chunks: consecutive runs of up to
-/// [`CHUNK_ITEMS`] independent items, with every `Refine` item alone in
-/// its chunk (the chunk boundary is the barrier that guarantees its
-/// cell's coarse items are merged before it runs).
-fn chunk_pending(pending: &[WorkItem]) -> Vec<Vec<WorkItem>> {
-    let mut chunks: Vec<Vec<WorkItem>> = Vec::new();
-    let mut current: Vec<WorkItem> = Vec::new();
-    for &item in pending {
-        if matches!(item.kind, ItemKind::Refine) {
-            if !current.is_empty() {
-                chunks.push(std::mem::take(&mut current));
-            }
-            chunks.push(vec![item]);
-            continue;
-        }
-        current.push(item);
-        if current.len() >= CHUNK_ITEMS {
-            chunks.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        chunks.push(current);
-    }
-    chunks
-}
 
 /// SIGKILL our own process (CLI `--kill-at` hook): the real thing, so
 /// no destructor, no flush, no final checkpoint runs — exactly the
@@ -1096,24 +748,14 @@ fn load_latest(dir: &Path, study: &str, expect: &str) -> Result<Option<Checkpoin
     let mut files = list_checkpoints(dir);
     files.reverse();
     for (_, path) in files {
-        let src = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(_) => {
-                ckpt_obs::counter_add("study.checkpoint_rejected", 1);
-                continue;
-            }
-        };
-        let ckpt = match parse_checkpoint(&src) {
-            Ok(c) => c,
-            Err(_) => {
-                ckpt_obs::counter_add("study.checkpoint_rejected", 1);
-                continue;
-            }
-        };
-        if ckpt.version != STORE_VERSION || ckpt.study != study {
+        let Some(ckpt) = std::fs::read_to_string(&path)
+            .ok()
+            .and_then(|src| parse_checkpoint(&src).ok())
+            .filter(|c| c.study == study)
+        else {
             ckpt_obs::counter_add("study.checkpoint_rejected", 1);
             continue;
-        }
+        };
         if ckpt.fingerprint != expect {
             ckpt_obs::counter_add("study.checkpoint_rejected", 1);
             return Err(bad(format!(
@@ -1129,19 +771,109 @@ fn load_latest(dir: &Path, study: &str, expect: &str) -> Result<Option<Checkpoin
     Ok(None)
 }
 
+/// Why a durable run ended between two slices.
+enum Halt {
+    /// The `stop_after_items` hook fired.
+    Stopped,
+    /// A store write failed.
+    Failed(Error),
+}
+
+/// The engine's recorder for a durable run: it cuts every wave into
+/// slices of `interval_items` tasks, and after each slice counts the
+/// work, honours the kill and stop hooks, and snapshots the log when
+/// one is due.
+struct Store<'a> {
+    config: &'a CheckpointConfig,
+    manifest: &'a StudyManifest,
+    dir: PathBuf,
+    progress: StudyProgress,
+    next_seq: u64,
+    executed: u64,
+    since_ckpt: u64,
+    last_ckpt: f64,
+    written: u64,
+}
+
+impl Store<'_> {
+    /// Write the whole log as the next snapshot, apply retention, and
+    /// refresh the flight dump and progress snapshot next to it.
+    fn snapshot(&mut self, log: &TaskLog) -> Result<(), Error> {
+        let _span = ckpt_obs::span("study.checkpoint_write");
+        let m = self.manifest;
+        write_atomic(
+            &self.dir.join(ckpt_name(self.next_seq)),
+            &checkpoint_json(&m.study, &m.fingerprint, self.next_seq, log),
+        )?;
+        ckpt_obs::counter_add("study.checkpoint_writes", 1);
+        self.next_seq += 1;
+        self.written += 1;
+        self.since_ckpt = 0;
+        self.last_ckpt = clock_seconds();
+        prune_checkpoints(&self.dir, self.config.max_checkpoints);
+        write_flightrec(&self.dir);
+        self.progress.write(&self.dir)
+    }
+
+    fn write_status(&self, state: &str) -> Result<(), Error> {
+        let (done, total) = (self.progress.completed(), self.progress.total());
+        write_atomic(&self.dir.join("status"), &format!("{state} {done}/{total}\n"))
+    }
+}
+
+impl Recorder for Store<'_> {
+    type Halt = Halt;
+
+    fn slice_len(&self, _pending: usize) -> usize {
+        usize::try_from(self.config.interval_items).unwrap_or(usize::MAX)
+    }
+
+    fn begin_slice(&mut self, wave: Wave, slice: &[SimTask]) {
+        self.progress.begin_slice(wave, slice);
+        self.progress.console_tick(false);
+        let _ = self.progress.write(&self.dir);
+    }
+
+    fn end_slice(&mut self, log: &TaskLog, wave: Wave, slice: &[SimTask]) -> Result<(), Halt> {
+        let n = slice.len() as u64;
+        self.executed += n;
+        self.since_ckpt += n;
+        ckpt_obs::counter_add("study.items_executed", n);
+        self.progress.finish_slice(wave, slice);
+
+        if let Some(frac) = self.config.kill_at {
+            if log.len() as f64 >= frac * self.manifest.items.len() as f64 {
+                kill_self();
+            }
+        }
+        if self.config.stop_after_items.is_some_and(|stop| self.executed >= stop) {
+            // Emulated kill between snapshots: leave the store exactly
+            // as the last checkpoint wrote it.
+            return Err(Halt::Stopped);
+        }
+        let due_items = self.since_ckpt >= self.config.interval_items.max(1);
+        let due_time = clock_seconds() - self.last_ckpt >= self.config.interval_seconds;
+        if due_items || due_time {
+            self.snapshot(log).and_then(|()| self.write_status("running")).map_err(Halt::Failed)?;
+        }
+        Ok(())
+    }
+}
+
 /// Run (or resume) a study through the checkpoint store.
 ///
 /// Fresh runs (`resume == false`) refuse to overwrite an existing study
 /// directory. Resumes (`resume == true`) require the directory, rebuild
-/// the manifest from `def`, validate fingerprints, restore the newest
-/// snapshot's completed set, and execute only what is missing —
+/// the manifest from `def`, validate fingerprints, seed the task log
+/// from the newest snapshot, and execute only what is missing —
 /// in-progress work of the killed process is implicitly back in
-/// pending, completed work is replayed by payload, never re-simulated.
+/// pending, logged work is reduced from its payload, never re-simulated.
 ///
 /// # Errors
-/// [`Error::Checkpoint`] for store-level failures (I/O, corrupt or
-/// stale snapshots, id collisions). Cell-level failures are values in
-/// the returned report, mirroring [`Study::run_all`](crate::study::Study::run_all).
+/// [`Error::Checkpoint`] for store-level failures (I/O, corrupt, stale
+/// or other-version stores, id collisions). Cell-level failures are
+/// values in the returned report, mirroring
+/// [`Study::run_all`](crate::study::Study::run_all).
 pub fn run_study(
     def: &StudyDef,
     config: &CheckpointConfig,
@@ -1149,7 +881,7 @@ pub fn run_study(
 ) -> Result<StudyOutcome, Error> {
     let manifest = build_manifest(def, config);
     let dir = study_dir(config, &def.id);
-    let mut completed: BTreeMap<u64, ItemPayload> = BTreeMap::new();
+    let mut log = TaskLog::new();
     let mut next_seq: u64 = 0;
 
     if resume {
@@ -1171,14 +903,8 @@ pub fn run_study(
         }
         if let Some(ckpt) = load_latest(&dir, &def.id, &manifest.fingerprint)? {
             next_seq = ckpt.seq + 1;
-            completed = ckpt.completed;
+            log = ckpt.completed;
         }
-        // Payloads for items the manifest does not know are dropped
-        // rather than trusted (defensive; fingerprint equality already
-        // implies the same item set).
-        let known: std::collections::BTreeSet<u64> =
-            manifest.items.iter().map(|i| i.id).collect();
-        completed.retain(|id, _| known.contains(id));
     } else {
         if dir.join("manifest.json").exists() {
             return Err(bad(format!(
@@ -1199,133 +925,71 @@ pub fn run_study(
     let _flight_guard = FlightDumpGuard;
 
     let items_total = manifest.items.len() as u64;
-    let items_resumed = completed.len() as u64;
+    let items_resumed = log.len() as u64;
     ckpt_obs::counter_add("study.items_resumed", items_resumed);
-
-    let ctxs: Vec<CellCtx> = def.cells.iter().map(CellCtx::build).collect();
-    let mut cell_items: Vec<Vec<WorkItem>> = vec![Vec::new(); def.cells.len()];
-    for item in &manifest.items {
-        cell_items[item.cell].push(*item);
-    }
-    let pending: Vec<WorkItem> = manifest
-        .items
-        .iter()
-        .filter(|i| !completed.contains_key(&i.id))
-        .copied()
-        .collect();
-
-    let mut executed: u64 = 0;
-    let mut checkpoints_written: u64 = 0;
-    let mut since_ckpt: u64 = 0;
-    let mut last_ckpt = clock_seconds();
-    write_status(&dir, &format!("running {}/{items_total}", completed.len()))?;
-    let mut progress = crate::progress::StudyProgress::new(
+    let progress = StudyProgress::new(
         &def.id,
         &manifest.items,
-        |id| completed.contains_key(&id),
+        |id| log.contains_key(&id),
         config.progress,
     );
-    progress.write(&dir)?;
+    let mut store = Store {
+        config,
+        manifest: &manifest,
+        dir: dir.clone(),
+        progress,
+        next_seq,
+        executed: 0,
+        since_ckpt: 0,
+        last_ckpt: clock_seconds(),
+        written: 0,
+    };
+    store.write_status("running")?;
+    store.progress.write(&dir)?;
     write_flightrec(&dir);
 
-    for chunk in chunk_pending(&pending) {
-        progress.begin_chunk(&chunk);
-        progress.console_tick(false);
-        let _ = progress.write(&dir);
-        // Drain the chunk through the work-stealing executor: items are
-        // independent within a chunk, DP policy items are the long
-        // poles (seeded into the worker deques), and the manifest-ID
-        // pairing makes the `completed` insertion order-free — the map
-        // is keyed, and `reduce::commit` folds in ID order anyway.
-        let is_heavy = |item: &WorkItem| match item.kind {
-            ItemKind::Policy { policy } => {
-                crate::exec::heavy_policy_kind(&ctxs[item.cell].sim_plan.kinds[policy])
+    // The engine, cell by cell in definition order: the same plan →
+    // drive → reduce as an in-memory run, over the store's log.
+    let mut results = Vec::with_capacity(def.cells.len());
+    for (cell, row) in def.cells.iter().zip(&manifest.cells) {
+        let result = match cell.scenario.dist.try_build() {
+            Err(e) => Err(Error::for_cell(&cell.scenario.label, e)),
+            Ok(built) => {
+                let sim_plan = plan_scenario(&cell.scenario, &cell.kinds, &cell.options);
+                match crate::runner::run_cell(
+                    &cell.scenario,
+                    &built,
+                    &sim_plan,
+                    row.task_base,
+                    &mut log,
+                    &mut store,
+                ) {
+                    Ok(r) => Ok(r),
+                    Err(Halt::Stopped) => {
+                        return Ok(StudyOutcome::Stopped {
+                            completed: log.len() as u64,
+                            total: items_total,
+                        })
+                    }
+                    Err(Halt::Failed(e)) => return Err(e),
+                }
             }
-            _ => false,
         };
-        let (outs, _stats) = crate::steal::run_wave(
-            &chunk,
-            crate::steal::workers(),
-            is_heavy,
-            |_, item| (item.id, execute_item(def, &ctxs, &cell_items, item, &completed)),
-        );
-        for (id, payload) in outs {
-            completed.insert(id, payload);
-        }
-        executed += chunk.len() as u64;
-        since_ckpt += chunk.len() as u64;
-        ckpt_obs::counter_add("study.items_executed", chunk.len() as u64);
-        progress.finish_chunk(&chunk);
-
-        if let Some(frac) = config.kill_at {
-            if completed.len() as f64 >= frac * items_total as f64 {
-                kill_self();
-            }
-        }
-        if let Some(stop) = config.stop_after_items {
-            if executed >= stop {
-                // Emulated kill between snapshots: leave the store
-                // exactly as the last checkpoint wrote it.
-                return Ok(StudyOutcome::Stopped {
-                    completed: completed.len() as u64,
-                    total: items_total,
-                });
-            }
-        }
-        let due_items = since_ckpt >= config.interval_items.max(1);
-        let due_time = clock_seconds() - last_ckpt >= config.interval_seconds;
-        if due_items || due_time {
-            let _span = ckpt_obs::span("study.checkpoint_write");
-            write_atomic(
-                &dir.join(ckpt_name(next_seq)),
-                &checkpoint_json(&def.id, &manifest.fingerprint, next_seq, &completed),
-            )?;
-            ckpt_obs::counter_add("study.checkpoint_writes", 1);
-            next_seq += 1;
-            checkpoints_written += 1;
-            since_ckpt = 0;
-            last_ckpt = clock_seconds();
-            prune_checkpoints(&dir, config.max_checkpoints);
-            write_status(&dir, &format!("running {}/{items_total}", completed.len()))?;
-            // The checkpoint writer committed: dump the flight ring and
-            // refresh the progress snapshot next to it.
-            write_flightrec(&dir);
-            progress.write(&dir)?;
-        }
+        results.push((cell.stem.clone(), result));
     }
 
     // Completion: final snapshot first (a crash between here and the
-    // aggregates resumes into an all-complete study and just re-commits),
-    // then the deterministic commit of every cell in definition order.
-    {
-        let _span = ckpt_obs::span("study.checkpoint_write");
-        write_atomic(
-            &dir.join(ckpt_name(next_seq)),
-            &checkpoint_json(&def.id, &manifest.fingerprint, next_seq, &completed),
-        )?;
-        ckpt_obs::counter_add("study.checkpoint_writes", 1);
-        checkpoints_written += 1;
-        prune_checkpoints(&dir, config.max_checkpoints);
-        write_flightrec(&dir);
-        progress.write(&dir)?;
-        progress.console_tick(true);
-    }
-
+    // aggregates resumes into a complete log and just re-reduces), then
+    // the aggregates of every cell in definition order.
+    store.snapshot(&log)?;
+    store.progress.console_tick(true);
     let agg_dir = dir.join("aggregate");
     std::fs::create_dir_all(&agg_dir)
         .map_err(|e| bad(format!("create {}: {e}", agg_dir.display())))?;
-    let mut results = Vec::with_capacity(def.cells.len());
-    for (c, cell) in def.cells.iter().enumerate() {
-        let result = crate::reduce::commit(
-            &cell.scenario,
-            &ctxs[c].sim_plan,
-            &cell_items[c],
-            &completed,
-        );
-        if let Ok(r) = &result {
-            write_atomic(&agg_dir.join(format!("{}.json", cell.stem)), &crate::golden::golden_json(r))?;
+    for (stem, result) in &results {
+        if let Ok(r) = result {
+            write_atomic(&agg_dir.join(format!("{stem}.json")), &crate::golden::golden_json(r))?;
         }
-        results.push((cell.stem.clone(), result));
     }
 
     if !config.keep_final {
@@ -1333,15 +997,15 @@ pub fn run_study(
             let _ = std::fs::remove_file(path);
         }
     }
-    write_status(&dir, &format!("done {items_total}/{items_total}"))?;
+    store.write_status("done")?;
 
     Ok(StudyOutcome::Complete(StudyReport {
         id: def.id.clone(),
         results,
         items_total,
         items_resumed,
-        items_executed: executed,
-        checkpoints_written,
+        items_executed: store.executed,
+        checkpoints_written: store.written,
     }))
 }
 
@@ -1469,16 +1133,14 @@ mod tests {
     #[test]
     fn manifest_decomposes_and_fingerprint_is_stable() {
         let def = tiny_def("t");
-        let config = CheckpointConfig { trace_block: 2, ..CheckpointConfig::default() };
+        let config = CheckpointConfig::default();
         let a = build_manifest(&def, &config);
         let b = build_manifest(&def, &config);
         assert_eq!(a, b, "manifest build must be deterministic");
-        // 2 policies × 2 blocks + 2 LB blocks + 3 candidates × 2 blocks,
-        // full search ⇒ no refine item.
-        assert_eq!(a.items.len(), 2 * 2 + 2 + 3 * 2);
-        assert!(a.items.iter().all(|i| !matches!(i.kind, ItemKind::Refine)));
+        // One task per trace: 2 policies + LB + 3 candidates, 4 traces;
+        // full search ⇒ no refine wave, so the id space is dense.
+        assert_eq!(a.items.len(), (2 + 1 + 3) * 4);
         assert_eq!(a.lanes, ckpt_math::simd::LANES);
-        // Ids are dense and ordered.
         for (k, item) in a.items.iter().enumerate() {
             assert_eq!(item.id, k as u64);
         }
@@ -1493,12 +1155,27 @@ mod tests {
         def.cells[0].kinds.pop();
         let b = build_manifest(&def, &config);
         assert_ne!(a.fingerprint, b.fingerprint);
-        // Different trace block ⇒ different fingerprint.
-        let c = build_manifest(
-            &tiny_def("t"),
-            &CheckpointConfig { trace_block: 2, ..config },
-        );
+        // Different candidate grid ⇒ different fingerprint.
+        let mut def = tiny_def("t");
+        def.cells[0].options.period_lb = Some(vec![0.5, 1.0]);
+        let c = build_manifest(&def, &config);
         assert_ne!(a.fingerprint, c.fingerprint);
+    }
+
+    #[test]
+    fn cells_own_disjoint_id_ranges_and_unbuildable_cells_list_no_tasks() {
+        let mut bad = tiny_def("x").cells.remove(0);
+        bad.scenario.dist = DistSpec::LanlLog { cluster: 99 };
+        let mut def = tiny_def("ids");
+        def.cells.push(bad);
+        def.cells.push(tiny_def("y").cells.remove(0));
+        let m = build_manifest(&def, &CheckpointConfig::default());
+        let bases: Vec<u64> = m.cells.iter().map(|c| c.task_base).collect();
+        assert_eq!(bases, [0, 24, 48]);
+        assert!(m.cells[1].dist_id.starts_with("unbuildable:"));
+        assert!(m.items.iter().all(|i| i.cell != 1));
+        assert_eq!(m.items.len(), 2 * 24);
+        assert!(m.items.windows(2).all(|w| w[0].id < w[1].id));
     }
 
     #[test]
@@ -1538,38 +1215,19 @@ mod tests {
 
     #[test]
     fn checkpoint_round_trips_and_rejects_non_finite() {
-        let mut completed = BTreeMap::new();
+        let mut completed = TaskLog::new();
         completed.insert(
             3,
-            ItemPayload::Policy {
-                built: true,
-                reason: String::new(),
-                stats: vec![TraceStatsBits {
-                    makespan: 1234.5f64.to_bits(),
-                    failures: 2,
-                    decisions: 7,
-                    chunk_min: f64::INFINITY.to_bits(),
-                    chunk_max: 0.0f64.to_bits(),
-                }],
-            },
+            ItemPayload::Sim(TraceStatsBits {
+                makespan: 1234.5f64.to_bits(),
+                failures: 2,
+                decisions: 7,
+                chunk_min: f64::INFINITY.to_bits(),
+                chunk_max: 0.0f64.to_bits(),
+            }),
         );
-        completed.insert(4, ItemPayload::LowerBound { makespans: vec![99.25f64.to_bits()] });
-        completed.insert(
-            5,
-            ItemPayload::Refine {
-                columns: vec![RefineColumn {
-                    candidate: 2,
-                    stats: vec![TraceStatsBits {
-                        makespan: 1.0f64.to_bits(),
-                        failures: 0,
-                        decisions: 1,
-                        chunk_min: 1.0f64.to_bits(),
-                        chunk_max: 1.0f64.to_bits(),
-                    }],
-                }],
-            },
-        );
-        completed.insert(6, ItemPayload::CellFailed { error: "distribution: boom".into() });
+        completed.insert(4, ItemPayload::LowerBound(99.25f64.to_bits()));
+        completed.insert(6, ItemPayload::Unbuilt { reason: "Liu: \"no fit\"".into() });
         let src = checkpoint_json("s", "00ff", 7, &completed);
         let parsed = parse_checkpoint(&src).expect("parses");
         assert_eq!(parsed.seq, 7);
@@ -1577,40 +1235,10 @@ mod tests {
 
         // A NaN makespan violates the store invariant (chunk_min may be
         // +inf — it round-tripped above).
-        completed.insert(
-            7,
-            ItemPayload::LowerBound { makespans: vec![f64::NAN.to_bits()] },
-        );
+        completed.insert(7, ItemPayload::LowerBound(f64::NAN.to_bits()));
         let bad_src = checkpoint_json("s", "00ff", 8, &completed);
         let err = parse_checkpoint(&bad_src).expect_err("NaN must be rejected");
         assert!(err.to_string().contains("non-finite"), "{err}");
-    }
-
-    #[test]
-    fn chunks_isolate_refine_items() {
-        let mk = |id, kind| WorkItem { id, cell: 0, kind, trace_lo: 0, trace_hi: 1 };
-        let items: Vec<WorkItem> = (0..20)
-            .map(|i| {
-                if i == 9 || i == 19 {
-                    mk(i, ItemKind::Refine)
-                } else {
-                    mk(i, ItemKind::Coarse { candidate: i as usize })
-                }
-            })
-            .collect();
-        let chunks = chunk_pending(&items);
-        let mut seen = 0u64;
-        for chunk in &chunks {
-            assert!(chunk.len() <= CHUNK_ITEMS);
-            if chunk.iter().any(|i| matches!(i.kind, ItemKind::Refine)) {
-                assert_eq!(chunk.len(), 1, "refine items run alone");
-            }
-            for item in chunk {
-                assert_eq!(item.id, seen, "chunks preserve id order");
-                seen += 1;
-            }
-        }
-        assert_eq!(seen, 20);
     }
 
     #[test]

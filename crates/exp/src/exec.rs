@@ -1,19 +1,27 @@
-//! Execution layer: drains a [`SimPlan`] through the work-stealing
-//! wave executor ([`crate::steal`]).
+//! Execution layer: the one engine. Drains a [`SimPlan`]'s waves through
+//! the work-stealing wave executor ([`crate::steal`]) into a [`TaskLog`].
 //!
-//! [`execute`] is the only place the pipeline touches the engine: it
-//! fetches traces through the shared [`TraceCache`] (`Arc`-shared with
-//! every worker), instantiates the roster through the policy
-//! [`registry`](crate::registry), and drains the plan's task waves with
-//! `drain_wave` — [`steal::run_wave`] under the plan's task numbering,
-//! with DP sims marked heavy so they seed the per-worker deques and
-//! start first. Results are committed in task-ID order, so every
-//! reduction downstream sees results in plan order and the output is
-//! bit-identical at any worker count ([`steal::workers`], settable via
-//! the CLI `--threads`).
+//! [`drive`] is the only place the pipeline touches the engine, for
+//! in-memory runs ([`execute`]) and durable studies
+//! ([`crate::checkpoint::run_study`]) alike. It fetches traces through
+//! the shared [`TraceCache`], instantiates the roster through the
+//! policy [`registry`](crate::registry), and drains the roster wave, the
+//! coarse candidate wave and the refine wave, with DP sims marked heavy
+//! so they seed the per-worker deques and start first. Every task's
+//! result is recorded in the log under its plan task id
+//! ([`SimPlan::task_id`], offset per study cell), tasks already in the
+//! log are skipped, and the [`ExecOutput`] is assembled from the log
+//! alone — so a resumed study and an uninterrupted run reduce the same
+//! bits by construction, at any worker count ([`steal::workers`],
+//! settable via the CLI `--threads`).
+//!
+//! A [`Recorder`] decides how the waves are cut: the in-memory path
+//! ([`InMemory`]) runs each wave whole, the checkpoint store cuts it
+//! into slices and snapshots the log between them.
 //!
 //! Failures are values here: a policy that cannot be instantiated for
-//! the cell (Liu's footnote-2 cases) becomes an [`Error`] stored in
+//! the cell (Liu's footnote-2 cases) records its tasks as
+//! [`ItemPayload::Unbuilt`], which becomes an [`Error`] in
 //! [`ExecOutput::policy_build`] and a column of absent cells — never a
 //! panic, never an aborted scenario. Per-stage wall-clock and work
 //! counters (including the wave scheduling counters on
@@ -26,9 +34,10 @@ use crate::plan::{self, SimPlan, SimTask};
 use crate::scenario::{BuiltDist, Scenario};
 use crate::steal;
 use ckpt_policies::Policy;
-use ckpt_sim::lower_bound_makespan;
+use ckpt_sim::{lower_bound_makespan, RunStats};
 use ckpt_workload::JobSpec;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::time::Instant;
 
 /// One roster-policy simulation result on one trace.
@@ -66,10 +75,114 @@ pub struct ExecOutput {
     pub search: Option<SearchOutput>,
 }
 
-/// Is this policy kind a wave long pole (a DP sim)? Shared with the
-/// checkpointed study runner so both drains seed the same task classes
-/// into the worker deques.
-pub(crate) fn heavy_policy_kind(k: &crate::policies_spec::PolicyKind) -> bool {
+/// One simulation's stats, floats as exact bit patterns. Makespans must
+/// decode finite (the checkpoint store's NaN/Inf-free invariant);
+/// `chunk_min` is legitimately `+∞` when a run made no decisions, so
+/// chunk bounds are exempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceStatsBits {
+    /// `RunStats::makespan` bits.
+    pub makespan: u64,
+    /// Failures hit.
+    pub failures: u64,
+    /// Decision points.
+    pub decisions: u64,
+    /// `RunStats::chunk_min` bits.
+    pub chunk_min: u64,
+    /// `RunStats::chunk_max` bits.
+    pub chunk_max: u64,
+}
+
+impl TraceStatsBits {
+    fn of(st: &RunStats) -> Self {
+        Self {
+            makespan: st.makespan.to_bits(),
+            failures: st.failures,
+            decisions: st.decisions,
+            chunk_min: st.chunk_min.to_bits(),
+            chunk_max: st.chunk_max.to_bits(),
+        }
+    }
+
+    /// The makespan as a float.
+    pub fn makespan_f64(&self) -> f64 {
+        f64::from_bits(self.makespan)
+    }
+}
+
+/// The recorded result of one plan task.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ItemPayload {
+    /// A roster-policy or `PeriodLB` candidate simulation.
+    Sim(TraceStatsBits),
+    /// A lower-bound makespan, as bits.
+    LowerBound(u64),
+    /// The task's roster policy could not be built for the cell, so
+    /// nothing was simulated; the reason becomes the row's error.
+    Unbuilt {
+        /// Display of the build error.
+        reason: String,
+    },
+}
+
+/// Task results keyed by task id — the engine's only output channel,
+/// and the checkpoint store's persisted state.
+pub type TaskLog = BTreeMap<u64, ItemPayload>;
+
+/// The wave a task runs in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Wave {
+    /// Roster-policy sims and lower bounds.
+    Roster,
+    /// The first `PeriodLB` candidate wave.
+    Coarse,
+    /// The candidate wave around the coarse incumbent.
+    Refine,
+}
+
+impl Wave {
+    /// Label of the wave on candidate spans and counters.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Roster => "roster",
+            Self::Coarse => "coarse",
+            Self::Refine => "refine",
+        }
+    }
+}
+
+/// How [`drive`] cuts its waves, and what runs between the cuts.
+pub(crate) trait Recorder {
+    /// Why a run stopped early.
+    type Halt;
+    /// Tasks per slice of a wave with `pending` tasks left to run.
+    fn slice_len(&self, pending: usize) -> usize;
+    /// A slice enters the executor.
+    fn begin_slice(&mut self, wave: Wave, slice: &[SimTask]);
+    /// A slice's results are in `log`; `Err` ends the run here.
+    fn end_slice(&mut self, log: &TaskLog, wave: Wave, slice: &[SimTask])
+        -> Result<(), Self::Halt>;
+}
+
+/// The in-memory path: no store, every wave runs whole.
+pub(crate) struct InMemory;
+
+impl Recorder for InMemory {
+    type Halt = Infallible;
+
+    fn slice_len(&self, pending: usize) -> usize {
+        pending
+    }
+
+    fn begin_slice(&mut self, _: Wave, _: &[SimTask]) {}
+
+    fn end_slice(&mut self, _: &TaskLog, _: Wave, _: &[SimTask]) -> Result<(), Infallible> {
+        Ok(())
+    }
+}
+
+/// Is this policy kind a wave long pole (a DP sim)?
+fn heavy_policy_kind(k: &crate::policies_spec::PolicyKind) -> bool {
     matches!(
         k,
         crate::policies_spec::PolicyKind::DpNextFailure(_)
@@ -77,40 +190,13 @@ pub(crate) fn heavy_policy_kind(k: &crate::policies_spec::PolicyKind) -> bool {
     )
 }
 
-/// Drain one wave through the work-stealing executor. Heavy tasks seed
-/// the per-worker deques (each worker starts on a long pole instead of
-/// trailing it — the schedule the old rayon drain approximated with a
-/// heavy-first permutation and `with_max_len(1)`); the cheap bulk
-/// drains through the shared injector. Results are committed in task
-/// order, which is what makes downstream reductions independent of
-/// worker count and scheduling; the wave's scheduling counters
-/// accumulate on `perf.exec`.
-fn drain_wave<T, F, H>(tasks: &[SimTask], perf: &mut PipelinePerf, is_heavy: H, run: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(SimTask) -> T + Sync,
-    H: Fn(&SimTask) -> bool,
-{
-    let (out, stats) = steal::run_wave(tasks, steal::workers(), is_heavy, |_, &t| run(t));
-    perf.exec.get_or_insert_with(Default::default).absorb(&stats);
-    out
-}
-
-/// Per-task output of the roster wave.
-enum RosterOutput {
-    Policy { cell: Option<PolicyCell>, decisions: u64, failures: u64 },
-    LowerBound { makespan: f64 },
-}
-
-/// Run one policy session on one cached trace. Shared with the
-/// checkpointed study runner ([`crate::checkpoint`]), whose item
-/// executors must perform bit-identical sims to this executor's waves.
-pub(crate) fn simulate_on(
+/// Run one policy session on one cached trace.
+fn simulate_on(
     spec: &JobSpec,
     policy: &dyn Policy,
     ct: &CachedTrace,
     sim: ckpt_sim::SimOptions,
-) -> ckpt_sim::RunStats {
+) -> RunStats {
     let mut session = policy.session();
     ckpt_sim::simulate(
         spec,
@@ -123,120 +209,222 @@ pub(crate) fn simulate_on(
     )
 }
 
-/// Execute a plan against a scenario: fetch traces, build the roster,
-/// drain the roster wave, then the candidate waves. Pushes the
-/// `trace_gen`, `policy_sims` and `period_search` stages onto `perf`.
+/// The log of one cell: task ids are the plan's, offset by `base`.
+struct CellLog<'a, R> {
+    sim_plan: &'a SimPlan,
+    base: u64,
+    log: &'a mut TaskLog,
+    recorder: &'a mut R,
+}
+
+impl<R: Recorder> CellLog<'_, R> {
+    fn id(&self, task: &SimTask) -> u64 {
+        self.base + self.sim_plan.task_id(task)
+    }
+
+    fn get(&self, task: &SimTask) -> Option<&ItemPayload> {
+        self.log.get(&self.id(task))
+    }
+
+    /// Drain the tasks of `tasks` the log does not hold yet, slice by
+    /// slice. Heavy tasks seed the per-worker deques (each worker starts
+    /// on a long pole instead of trailing it); the cheap bulk drains
+    /// through the shared injector. A cut wave puts its heavy tasks in
+    /// the first slices, so each slice barrier waits on peers rather
+    /// than on one long pole among cheap tasks. Results come back in
+    /// task order and land in the log under their ids, so the log's
+    /// contents never depend on worker count or scheduling; the waves'
+    /// scheduling counters accumulate on `perf.exec`.
+    fn drain<H, F>(
+        &mut self,
+        wave: Wave,
+        tasks: &[SimTask],
+        perf: &mut PipelinePerf,
+        is_heavy: H,
+        run: F,
+    ) -> Result<(), R::Halt>
+    where
+        H: Fn(&SimTask) -> bool,
+        F: Fn(SimTask) -> ItemPayload + Sync,
+    {
+        let mut pending: Vec<SimTask> =
+            tasks.iter().copied().filter(|t| self.get(t).is_none()).collect();
+        let len = self.recorder.slice_len(pending.len()).max(1);
+        if len < pending.len() {
+            pending.sort_by_key(|t| !is_heavy(t));
+        }
+        for slice in pending.chunks(len) {
+            self.recorder.begin_slice(wave, slice);
+            let (outs, stats) =
+                steal::run_wave(slice, steal::workers(), &is_heavy, |_, &t| run(t));
+            perf.exec.get_or_insert_with(Default::default).absorb(&stats);
+            if wave != Wave::Roster {
+                let n = slice.len() as u64;
+                ckpt_obs::counter_add_labeled("period_search.candidate_sims", wave.name(), n);
+            }
+            for (task, out) in slice.iter().zip(outs) {
+                let id = self.id(task);
+                self.log.insert(id, out);
+            }
+            self.recorder.end_slice(self.log, wave, slice)?;
+        }
+        Ok(())
+    }
+
+    /// A candidate's per-trace stats, once every trace is logged.
+    fn column(&self, candidate: usize) -> Option<Vec<TraceStatsBits>> {
+        (0..self.sim_plan.traces)
+            .map(|trace| match self.get(&SimTask::Candidate { candidate, trace }) {
+                Some(ItemPayload::Sim(st)) => Some(*st),
+                _ => None,
+            })
+            .collect()
+    }
+}
+
+/// Mean makespan of a column, summed in trace order.
+fn mean(column: &[TraceStatsBits]) -> f64 {
+    column.iter().map(TraceStatsBits::makespan_f64).sum::<f64>() / column.len().max(1) as f64
+}
+
+/// Execute a plan in memory: [`drive`] with an empty log and whole
+/// waves. Pushes the `trace_gen`, `policy_sims` and `period_search`
+/// stages onto `perf`.
 pub fn execute(
     scenario: &Scenario,
     built: &BuiltDist,
     sim_plan: &SimPlan,
     perf: &mut PipelinePerf,
 ) -> ExecOutput {
-    let spec = scenario.job_spec();
+    match drive(scenario, built, sim_plan, perf, 0, &mut TaskLog::new(), &mut InMemory) {
+        Ok(out) => out,
+        Err(never) => match never {},
+    }
+}
 
-    // Stage 1: trace generation (process-wide cache, shared via Arc).
+/// Drain a plan into `log` — every task it does not hold yet, ids offset
+/// by `base` — then assemble the [`ExecOutput`] from the log: build the
+/// roster, drain the roster wave, then the candidate waves. Pushes the
+/// `trace_gen`, `policy_sims` and `period_search` stages onto `perf`.
+///
+/// # Errors
+/// Whatever the recorder halts with between two slices.
+pub(crate) fn drive<R: Recorder>(
+    scenario: &Scenario,
+    built: &BuiltDist,
+    sim_plan: &SimPlan,
+    perf: &mut PipelinePerf,
+    base: u64,
+    log: &mut TaskLog,
+    recorder: &mut R,
+) -> Result<ExecOutput, R::Halt> {
+    let spec = scenario.job_spec();
+    let cache = TraceCache::global();
+    let trace = |idx: usize| cache.get_or_generate(scenario, built, idx);
+    let mut cell = CellLog { sim_plan, base, log, recorder };
+    let roster = sim_plan.roster_wave();
+    let coarse = sim_plan.candidate_wave(&sim_plan.coarse);
+
+    // Stage 1: generate (process-wide cache, shared via Arc) every trace
+    // a pending roster or coarse task reads. Refine tasks, planned only
+    // after the coarse wave, fetch theirs through the cache.
     // lint: allow(transitive-nondeterminism) — stage timer feeds PipelinePerf only, never result rows
     let t_stage = Instant::now();
     let stage_span = ckpt_obs::span("stage.trace_gen");
-    let cache = TraceCache::global();
-    let trace_tasks: Vec<usize> = (0..sim_plan.traces).collect();
-    let (cached, trace_stats) = steal::run_wave(
-        &trace_tasks,
-        steal::workers(),
-        |_| false,
-        |_, &idx| cache.get_or_generate(scenario, built, idx),
-    );
-    let cached: Vec<Arc<CachedTrace>> = cached;
-    perf.exec.get_or_insert_with(Default::default).absorb(&trace_stats);
+    let mut needed = vec![false; sim_plan.traces];
+    for t in roster.iter().chain(&coarse).filter(|t| cell.get(t).is_none()) {
+        needed[t.trace()] = true;
+    }
+    let trace_tasks: Vec<usize> = (0..sim_plan.traces).filter(|&i| needed[i]).collect();
+    if !trace_tasks.is_empty() {
+        let (_, stats) =
+            steal::run_wave(&trace_tasks, steal::workers(), |_| false, |_, &i| drop(trace(i)));
+        perf.exec.get_or_insert_with(Default::default).absorb(&stats);
+    }
     drop(stage_span);
-    perf.push_stage("trace_gen", t_stage, sim_plan.traces as u64);
+    perf.push_stage("trace_gen", t_stage, trace_tasks.len() as u64);
 
-    // Instantiate the roster once through the registry; sessions are
-    // per-task. Build failures become values.
-    let policies: Vec<Result<Box<dyn Policy>, Error>> = sim_plan
-        .kinds
-        .iter()
-        .map(|k| crate::registry::build_policy(k, scenario, built))
-        .collect();
-
-    // Stage 2: the roster wave (policy sims plus lower bounds). DP sims
-    // are the wave's long poles — schedule them first so they overlap the
-    // cheap periodic sims instead of trailing them. The shared plan/
-    // kernel-row caches are snapshotted around the wave so the perf
-    // report attributes exactly this run's hits/misses/evictions.
+    // Stage 2: the roster wave (policy sims plus lower bounds). Only
+    // policies with pending tasks are instantiated; build failures
+    // become values. The shared plan/kernel-row caches are snapshotted
+    // around the wave so the perf report attributes exactly this run's
+    // hits/misses/evictions.
     // lint: allow(transitive-nondeterminism) — stage timer feeds PipelinePerf only, never result rows
     let t_stage = Instant::now();
     let stage_span = ckpt_obs::span("stage.policy_sims");
     let caches_before = ckpt_policies::DpCaches::global().stats();
-    let tasks = sim_plan.roster_wave();
+    let policies: Vec<Option<Result<Box<dyn Policy>, Error>>> = (sim_plan.kinds.iter().enumerate())
+        .map(|(policy, k)| {
+            (0..sim_plan.traces)
+                .any(|trace| cell.get(&SimTask::Policy { policy, trace }).is_none())
+                .then(|| crate::registry::build_policy(k, scenario, built))
+        })
+        .collect();
     let is_heavy = |task: &SimTask| match task {
         SimTask::Policy { policy, .. } => heavy_policy_kind(&sim_plan.kinds[*policy]),
         _ => false,
     };
-    ckpt_obs::gauge_max("wave.roster_tasks", tasks.len() as u64);
-    let outputs = drain_wave(&tasks, perf, is_heavy, |task| match task {
-        SimTask::Policy { policy, trace } => match &policies[policy] {
-            Ok(p) => {
-                // Task id = plan position: deterministic, so the merged
-                // span order is identical at any thread count.
-                let mut span = ckpt_obs::task_span(
-                    "task.policy_sim",
-                    (policy * sim_plan.traces + trace) as u64,
-                );
-                if ckpt_obs::active() {
-                    span.label("policy", p.name().to_string());
-                    span.label("dist", scenario.label.clone());
-                    span.label("p", scenario.procs.to_string());
+    ckpt_obs::gauge_max("wave.roster_tasks", roster.len() as u64);
+    cell.drain(Wave::Roster, &roster, perf, is_heavy, |task| {
+        // Task id = plan position: deterministic, so the merged span
+        // order is identical at any worker count.
+        let id = base + sim_plan.task_id(&task);
+        match task {
+            SimTask::Policy { policy, trace: t } => match &policies[policy] {
+                Some(Ok(p)) => {
+                    let mut span = ckpt_obs::task_span("task.policy_sim", id);
+                    if ckpt_obs::active() {
+                        span.label("policy", p.name().to_string());
+                        span.label("dist", scenario.label.clone());
+                        span.label("p", scenario.procs.to_string());
+                    }
+                    let st = simulate_on(&spec, p.as_ref(), &trace(t), sim_plan.sim);
+                    ItemPayload::Sim(TraceStatsBits::of(&st))
                 }
-                let st = simulate_on(&spec, p.as_ref(), &cached[trace], sim_plan.sim);
-                RosterOutput::Policy {
-                    cell: Some(PolicyCell {
-                        makespan: st.makespan,
-                        failures: st.failures,
-                        chunk_min: st.chunk_min,
-                        chunk_max: st.chunk_max,
-                    }),
-                    decisions: st.decisions,
-                    failures: st.failures,
-                }
+                Some(Err(e)) => ItemPayload::Unbuilt { reason: e.to_string() },
+                None => unreachable!("policies with pending tasks are built"),
+            },
+            SimTask::LowerBound { trace: t } => {
+                let _span = ckpt_obs::task_span("task.lower_bound", id);
+                let lb = lower_bound_makespan(&spec, &trace(t).traces);
+                ItemPayload::LowerBound(lb.makespan.to_bits())
             }
-            Err(_) => RosterOutput::Policy { cell: None, decisions: 0, failures: 0 },
-        },
-        SimTask::LowerBound { trace } => {
-            let _span = ckpt_obs::task_span(
-                "task.lower_bound",
-                (sim_plan.kinds.len() * sim_plan.traces + trace) as u64,
-            );
-            RosterOutput::LowerBound {
-                makespan: lower_bound_makespan(&spec, &cached[trace].traces).makespan,
+            SimTask::Candidate { .. } => {
+                unreachable!("candidate tasks are drained in the search waves")
             }
         }
-        SimTask::Candidate { .. } => {
-            unreachable!("candidate tasks are drained in the search waves")
-        }
-    });
-    // Scatter task outputs into [policy][trace] matrices (plan order is
-    // preserved by drain_wave, so this is a deterministic transpose).
+    })?;
+
+    // Assemble the roster half of the output from the log.
+    let mut policy_build: Vec<Result<(), Error>> = sim_plan.kinds.iter().map(|_| Ok(())).collect();
     let mut cells: Vec<Vec<Option<PolicyCell>>> =
         vec![vec![None; sim_plan.traces]; sim_plan.kinds.len()];
-    let mut lower_bounds =
-        sim_plan.lower_bound.then(|| vec![0.0f64; sim_plan.traces]);
-    for (task, out) in tasks.iter().zip(outputs) {
-        match (task, out) {
-            (SimTask::Policy { policy, trace }, RosterOutput::Policy { cell, decisions, failures }) => {
-                cells[*policy][*trace] = cell;
-                perf.decisions += decisions;
-                perf.failures += failures;
+    let mut lower_bounds = sim_plan.lower_bound.then(|| vec![0.0f64; sim_plan.traces]);
+    for task in &roster {
+        match (task, cell.get(task)) {
+            (SimTask::Policy { policy, trace }, Some(ItemPayload::Sim(st))) => {
+                cells[*policy][*trace] = Some(PolicyCell {
+                    makespan: st.makespan_f64(),
+                    failures: st.failures,
+                    chunk_min: f64::from_bits(st.chunk_min),
+                    chunk_max: f64::from_bits(st.chunk_max),
+                });
+                perf.decisions += st.decisions;
+                perf.failures += st.failures;
             }
-            (SimTask::LowerBound { trace }, RosterOutput::LowerBound { makespan }) => {
+            (SimTask::Policy { policy, .. }, Some(ItemPayload::Unbuilt { reason })) => {
+                let name = sim_plan.policy_names[*policy].clone();
+                policy_build[*policy] = Err(Error::Policy { name, reason: reason.clone() });
+            }
+            (SimTask::LowerBound { trace }, Some(ItemPayload::LowerBound(bits))) => {
                 if let Some(lb) = &mut lower_bounds {
-                    lb[*trace] = makespan;
+                    lb[*trace] = f64::from_bits(*bits);
                 }
             }
-            _ => unreachable!("wave outputs align with their tasks"),
+            _ => {}
         }
     }
-    let ran_policies = policies.iter().filter(|b| b.is_ok()).count() as u64;
+    let ran_policies = policy_build.iter().filter(|b| b.is_ok()).count() as u64;
     perf.policy_sims = ran_policies * sim_plan.traces as u64;
     perf.plan_cache =
         ckpt_policies::DpCaches::global().stats().delta_since(&caches_before).into();
@@ -247,97 +435,66 @@ pub fn execute(
     // lint: allow(transitive-nondeterminism) — stage timer feeds PipelinePerf only, never result rows
     let t_stage = Instant::now();
     let stage_span = ckpt_obs::span("stage.period_search");
-    let search = search_candidates(&spec, built, sim_plan, &cached, perf);
+    let search = if sim_plan.grid.is_empty() {
+        None
+    } else {
+        perf.candidate_grid_size = sim_plan.grid.len() as u64;
+        let optexp = crate::registry::optexp_base(&spec, built.proc_mtbf);
+        let (optexp, spec, trace) = (&optexp, &spec, &trace);
+        let run = |wave: Wave| {
+            move |task: SimTask| {
+                let SimTask::Candidate { candidate, trace: t } = task else {
+                    unreachable!("candidate waves contain only candidate tasks")
+                };
+                let mut span =
+                    ckpt_obs::task_span("task.candidate_sim", base + sim_plan.task_id(&task));
+                if ckpt_obs::active() {
+                    span.label("wave", wave.name());
+                    span.label("factor", format!("{}", sim_plan.grid[candidate]));
+                }
+                let policy = optexp.as_fixed_period().scaled(sim_plan.grid[candidate]);
+                let st = simulate_on(spec, &policy, &trace(t), sim_plan.sim);
+                ItemPayload::Sim(TraceStatsBits::of(&st))
+            }
+        };
+        ckpt_obs::gauge_max("wave.candidate_tasks", coarse.len() as u64);
+        cell.drain(Wave::Coarse, &coarse, perf, |_| false, run(Wave::Coarse))?;
+        if sim_plan.refine_step.is_some() {
+            // The plan's only inter-wave dependency: the refine window
+            // is a function of the coarse incumbent. Candidates the
+            // coarse wave already evaluated are not re-simulated.
+            let mut means = vec![None; sim_plan.grid.len()];
+            for &i in &sim_plan.coarse {
+                means[i] = cell.column(i).map(|col| mean(&col));
+            }
+            if let Some(incumbent) = plan::winner(&means) {
+                let fresh: Vec<usize> = (sim_plan.refine_window(incumbent))
+                    .filter(|i| !sim_plan.coarse.contains(i))
+                    .collect();
+                let refine = sim_plan.candidate_wave(&fresh);
+                ckpt_obs::gauge_max("wave.candidate_tasks", refine.len() as u64);
+                cell.drain(Wave::Refine, &refine, perf, |_| false, run(Wave::Refine))?;
+            }
+        }
+        // The winner among every evaluated column, by mean makespan
+        // (ties toward the smaller factor).
+        let columns: Vec<Option<Vec<TraceStatsBits>>> =
+            (0..sim_plan.grid.len()).map(|i| cell.column(i)).collect();
+        for st in columns.iter().flatten().flatten() {
+            perf.candidate_sims += 1;
+            perf.decisions += st.decisions;
+            perf.failures += st.failures;
+        }
+        let means: Vec<Option<f64>> = columns.iter().map(|c| c.as_deref().map(mean)).collect();
+        plan::winner(&means).and_then(|w| {
+            let column = columns[w].as_ref()?.iter().map(TraceStatsBits::makespan_f64).collect();
+            Some(SearchOutput { factor: sim_plan.grid[w], column })
+        })
+    };
     drop(stage_span);
     perf.push_stage("period_search", t_stage, perf.candidate_sims);
 
-    ExecOutput {
-        policy_build: policies.into_iter().map(|r| r.map(|_| ())).collect(),
-        cells,
-        lower_bounds,
-        search,
-    }
-}
-
-/// Drain the candidate waves: evaluate the plan's coarse indices, pick
-/// the incumbent, evaluate the refine window, and return the winner by
-/// mean makespan (ties toward the smaller factor).
-fn search_candidates(
-    spec: &JobSpec,
-    built: &BuiltDist,
-    sim_plan: &SimPlan,
-    cached: &[Arc<CachedTrace>],
-    perf: &mut PipelinePerf,
-) -> Option<SearchOutput> {
-    if sim_plan.grid.is_empty() {
-        return None;
-    }
-    perf.candidate_grid_size = sim_plan.grid.len() as u64;
-    let base = crate::registry::optexp_base(spec, built.proc_mtbf);
-    // columns[candidate] = (per-trace makespans, mean).
-    let mut columns: Vec<Option<(Vec<f64>, f64)>> = vec![None; sim_plan.grid.len()];
-
-    let mut evaluate_wave = |wave: &'static str,
-                             indices: &[usize],
-                             columns: &mut Vec<Option<(Vec<f64>, f64)>>| {
-        let fresh: Vec<usize> =
-            indices.iter().copied().filter(|&i| columns[i].is_none()).collect();
-        let tasks = sim_plan.candidate_wave(&fresh);
-        ckpt_obs::gauge_max("wave.candidate_tasks", tasks.len() as u64);
-        let outputs = drain_wave(&tasks, perf, |_| false, |task| {
-            let SimTask::Candidate { candidate, trace } = task else {
-                unreachable!("candidate waves contain only candidate tasks")
-            };
-            // Candidate ids live above the roster wave's id range.
-            let mut span = ckpt_obs::task_span(
-                "task.candidate_sim",
-                ((sim_plan.kinds.len() + 1 + candidate) * sim_plan.traces + trace) as u64,
-            );
-            if ckpt_obs::active() {
-                span.label("wave", wave);
-                span.label("factor", format!("{}", sim_plan.grid[candidate]));
-            }
-            let policy = base.as_fixed_period().scaled(sim_plan.grid[candidate]);
-            let st = simulate_on(spec, &policy, &cached[trace], sim_plan.sim);
-            (st.makespan, st.decisions, st.failures)
-        });
-        ckpt_obs::counter_add_labeled("period_search.candidate_sims", wave, tasks.len() as u64);
-        perf.candidate_sims += tasks.len() as u64;
-        for (task, (makespan, decisions, failures)) in tasks.iter().zip(&outputs) {
-            let SimTask::Candidate { candidate, trace } = task else {
-                unreachable!("candidate waves contain only candidate tasks")
-            };
-            let col = &mut columns[*candidate]
-                .get_or_insert_with(|| (vec![0.0; sim_plan.traces], 0.0))
-                .0;
-            col[*trace] = *makespan;
-            perf.decisions += decisions;
-            perf.failures += failures;
-        }
-        // Means in candidate order, summed in trace order: the exact
-        // reduction the monolith performed.
-        for &i in &fresh {
-            if let Some((col, mean)) = &mut columns[i] {
-                *mean = col.iter().sum::<f64>() / col.len().max(1) as f64;
-            }
-        }
-    };
-
-    evaluate_wave("coarse", &sim_plan.coarse, &mut columns);
-    if sim_plan.refine_step.is_some() {
-        let means: Vec<Option<f64>> =
-            columns.iter().map(|c| c.as_ref().map(|(_, m)| *m)).collect();
-        if let Some(incumbent) = plan::winner(&means) {
-            let window: Vec<usize> = sim_plan.refine_window(incumbent).collect();
-            evaluate_wave("refine", &window, &mut columns);
-        }
-    }
-
-    let means: Vec<Option<f64>> =
-        columns.iter().map(|c| c.as_ref().map(|(_, m)| *m)).collect();
-    let winner = plan::winner(&means)?;
-    let (column, _) = columns[winner].take()?;
-    Some(SearchOutput { factor: sim_plan.grid[winner], column })
+    Ok(ExecOutput { policy_build, cells, lower_bounds, search })
 }
 
 #[cfg(test)]
@@ -351,10 +508,8 @@ mod tests {
     use ckpt_sim::SimOptions;
 
     fn tiny() -> Scenario {
-        let mut s = Scenario::single_processor(
-            DistSpec::Exponential { mtbf: 6.0 * 3_600.0 },
-            4,
-        );
+        let mut s =
+            Scenario::single_processor(DistSpec::Exponential { mtbf: 6.0 * 3_600.0 }, 4);
         s.total_work = 12.0 * 3_600.0;
         s
     }
@@ -385,11 +540,8 @@ mod tests {
     #[test]
     fn unbuildable_policy_is_a_value_not_a_panic() {
         let year = 365.25 * 86_400.0;
-        let sc = Scenario::petascale(
-            DistSpec::Weibull { shape: 0.3, mtbf: 125.0 * year },
-            4_096,
-            2,
-        );
+        let sc =
+            Scenario::petascale(DistSpec::Weibull { shape: 0.3, mtbf: 125.0 * year }, 4_096, 2);
         let opts = RunnerOptions { period_lb: None, lower_bound: false, ..Default::default() };
         let sim_plan = plan_scenario(&sc, &[PolicyKind::Liu], &opts);
         let built = sc.dist.build();
@@ -407,23 +559,19 @@ mod tests {
     #[test]
     fn unbuildable_policy_stays_a_value_under_many_workers() {
         let year = 365.25 * 86_400.0;
-        let sc = Scenario::petascale(
-            DistSpec::Weibull { shape: 0.3, mtbf: 125.0 * year },
-            4_096,
-            4,
-        );
+        let sc =
+            Scenario::petascale(DistSpec::Weibull { shape: 0.3, mtbf: 125.0 * year }, 4_096, 4);
         let opts = RunnerOptions { period_lb: None, lower_bound: false, ..Default::default() };
         let sim_plan = plan_scenario(&sc, &[PolicyKind::Liu, PolicyKind::Young], &opts);
         let built = sc.dist.build();
-        crate::steal::set_workers(8);
         let mut perf = PipelinePerf::default();
-        let out = execute(&sc, &built, &sim_plan, &mut perf);
-        crate::steal::set_workers(0);
+        let out = steal::with_workers(8, || execute(&sc, &built, &sim_plan, &mut perf));
         assert!(out.policy_build[0].is_err());
         assert!(out.cells[0].iter().all(Option::is_none));
         assert!(out.policy_build[1].is_ok());
         assert!(out.cells[1].iter().all(Option::is_some));
         assert_eq!(perf.policy_sims, 4);
+        assert_eq!(perf.exec.map(|e| e.workers), Some(8));
     }
 
     /// The core contract of the steal executor: `execute` output is
@@ -444,10 +592,9 @@ mod tests {
         let built = sc.dist.build();
 
         let run_at = |workers: usize| {
-            crate::steal::set_workers(workers);
             let mut perf = PipelinePerf::default();
-            let out = execute(&sc, &built, &sim_plan, &mut perf);
-            crate::steal::set_workers(0);
+            let out = steal::with_workers(workers, || execute(&sc, &built, &sim_plan, &mut perf));
+            assert_eq!(perf.exec.map(|e| e.workers), Some(workers as u64));
             (out, perf)
         };
         let (seq, perf_seq) = run_at(1);
@@ -480,5 +627,38 @@ mod tests {
         assert_eq!(perf_seq.candidate_sims, perf_par.candidate_sims);
         assert_eq!(perf_seq.decisions, perf_par.decisions);
         assert_eq!(perf_seq.failures, perf_par.failures);
+    }
+
+    /// A log that already holds some results is only topped up: the
+    /// driver skips logged tasks and reduces the same bits as a run from
+    /// an empty log.
+    #[test]
+    fn drive_skips_logged_tasks_and_matches_a_fresh_run() {
+        let sc = tiny();
+        let opts = RunnerOptions {
+            period_lb: Some((1..=25).map(|i| 0.3 + 0.1 * f64::from(i)).collect()),
+            period_search: PeriodSearch::CoarseToFine { coarse_step: 4, min_full: 8 },
+            lower_bound: true,
+            sim: SimOptions::default(),
+        };
+        let sim_plan = plan_scenario(&sc, &[PolicyKind::Young], &opts);
+        let built = sc.dist.build();
+        let run = |log: &mut TaskLog, perf: &mut PipelinePerf| {
+            drive(&sc, &built, &sim_plan, perf, 7, log, &mut InMemory)
+                .unwrap_or_else(|never| match never {})
+        };
+        let mut full = TaskLog::new();
+        let fresh = run(&mut full, &mut PipelinePerf::default());
+        assert!(full.keys().all(|&id| (7..7 + sim_plan.task_count()).contains(&id)));
+        // Keep every other result, then let the driver fill the gaps.
+        let mut partial: TaskLog =
+            full.iter().step_by(2).map(|(k, v)| (*k, v.clone())).collect();
+        let mut perf = PipelinePerf::default();
+        let topped = run(&mut partial, &mut perf);
+        assert_eq!(partial, full);
+        let (a, b) = (fresh.search.expect("grid"), topped.search.expect("grid"));
+        assert_eq!(a.factor.to_bits(), b.factor.to_bits());
+        // Candidate sims count every logged candidate result.
+        assert_eq!(perf.candidate_sims, full.len() as u64 - 4 - 4);
     }
 }

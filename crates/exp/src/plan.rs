@@ -8,8 +8,8 @@
 //! in [`crate::exec`]. Because every task is identified by stable
 //! indices (policy index, candidate index, trace index) and trace seeds
 //! derive from the scenario label and trace index alone, a plan is
-//! **seed-stable**: executing it with any rayon thread count, in any
-//! task order, yields bit-identical results.
+//! **seed-stable**: executing it with any worker count, in any task
+//! order, yields bit-identical results.
 //!
 //! Dependencies are explicit in the wave structure:
 //!
@@ -54,6 +54,17 @@ pub enum SimTask {
         /// Trace index.
         trace: usize,
     },
+}
+
+impl SimTask {
+    /// The trace the task runs on.
+    pub fn trace(&self) -> usize {
+        match *self {
+            Self::Policy { trace, .. }
+            | Self::LowerBound { trace }
+            | Self::Candidate { trace, .. } => trace,
+        }
+    }
 }
 
 /// The typed, executable description of one scenario's simulation work.
@@ -114,6 +125,26 @@ pub fn plan_scenario(
 }
 
 impl SimPlan {
+    /// The plan's id for `task`, dense over `0..task_count()`: roster
+    /// policies first (`policy·traces + trace`), then the lower bound
+    /// (`kinds·traces + trace`), then the candidate grid
+    /// (`(kinds+1+candidate)·traces + trace`). Task spans and the
+    /// checkpoint log key results by it.
+    pub fn task_id(&self, task: &SimTask) -> u64 {
+        let row = match *task {
+            SimTask::Policy { policy, .. } => policy,
+            SimTask::LowerBound { .. } => self.kinds.len(),
+            SimTask::Candidate { candidate, .. } => self.kinds.len() + 1 + candidate,
+        };
+        (row * self.traces + task.trace()) as u64
+    }
+
+    /// Size of the plan's task-id space (every id [`Self::task_id`] can
+    /// return is below it, refine candidates included).
+    pub fn task_count(&self) -> u64 {
+        ((self.kinds.len() + 1 + self.grid.len()) * self.traces) as u64
+    }
+
     /// The first wave: every roster policy sim plus (when enabled) the
     /// lower-bound evals. No prerequisites; tasks are independent.
     pub fn roster_wave(&self) -> Vec<SimTask> {
@@ -270,6 +301,23 @@ mod tests {
         assert_eq!(wave.len(), 9);
         assert_eq!(wave[0], SimTask::Policy { policy: 0, trace: 0 });
         assert_eq!(wave[2], SimTask::LowerBound { trace: 0 });
+    }
+
+    #[test]
+    fn task_ids_are_dense_and_unique() {
+        let sc = tiny();
+        let kinds = [PolicyKind::Young, PolicyKind::OptExp];
+        let plan = plan_scenario(&sc, &kinds, &RunnerOptions::default());
+        let all: Vec<usize> = (0..plan.grid.len()).collect();
+        let mut ids: Vec<u64> = plan
+            .roster_wave()
+            .iter()
+            .chain(&plan.candidate_wave(&all))
+            .map(|t| plan.task_id(t))
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..plan.task_count()).collect::<Vec<_>>());
+        assert_eq!(plan.task_id(&SimTask::Candidate { candidate: 0, trace: 1 }), 3 * 3 + 1);
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! Live study progress: total/completed/in-flight item counts per
-//! [`WorkItem`](crate::checkpoint::WorkItem) kind, derived from the
-//! manifest plus the commit layer, with rates and ETA read through the
-//! single sanctioned `ckpt-obs` clock.
+//! Live study progress: total/completed/in-flight item counts per task
+//! kind, derived from the manifest plus the engine's slices, with rates
+//! and ETA read through the single sanctioned `ckpt-obs` clock. Refine
+//! tasks join the totals as their wave's slices start (the manifest
+//! cannot list them: they depend on the coarse incumbent).
 //!
 //! Two outputs, one determinism rule:
 //!
 //! * **`progress.json`** in the study store, rewritten atomically at
-//!   chunk boundaries and checkpoint commits. Every field is
+//!   slice boundaries and checkpoint commits. Every field is
 //!   byte-deterministic at any worker count *except* the ones
 //!   quarantined under the clearly-marked
 //!   `wall_clock_nondeterministic` object (elapsed, rate, ETA).
@@ -16,8 +17,10 @@
 //! Nothing here feeds results: the reporter observes the run loop, and
 //! the run loop never reads it back.
 
-use crate::checkpoint::{StudyManifest, WorkItem};
+use crate::checkpoint::WorkItem;
 use crate::error::Error;
+use crate::exec::Wave;
+use crate::plan::SimTask;
 use crate::perf::format_f64;
 use serde_json::escape_str;
 use std::path::Path;
@@ -37,14 +40,13 @@ fn clock_seconds() -> f64 {
     ckpt_obs::clock::now_micros() as f64 / 1e6
 }
 
-/// Map an item kind onto its [`KIND_NAMES`] slot.
-fn kind_slot(item: &WorkItem) -> usize {
-    use crate::checkpoint::ItemKind;
-    match item.kind {
-        ItemKind::Policy { .. } => 0,
-        ItemKind::LowerBound => 1,
-        ItemKind::Coarse { .. } => 2,
-        ItemKind::Refine => 3,
+/// Map a task of `wave` onto its [`KIND_NAMES`] slot.
+fn kind_slot(wave: Wave, task: &SimTask) -> usize {
+    match (wave, task) {
+        (_, SimTask::Policy { .. }) => 0,
+        (_, SimTask::LowerBound { .. }) => 1,
+        (Wave::Refine, SimTask::Candidate { .. }) => 3,
+        (_, SimTask::Candidate { .. }) => 2,
     }
 }
 
@@ -88,7 +90,8 @@ impl StudyProgress {
             console,
         };
         for item in items {
-            let k = kind_slot(item);
+            // Manifest candidates are the coarse wave's.
+            let k = kind_slot(Wave::Coarse, &item.task);
             p.total += 1;
             p.kind_total[k] += 1;
             if is_done(item.id) {
@@ -104,28 +107,25 @@ impl StudyProgress {
         p
     }
 
-    /// Convenience: seed from a manifest.
-    pub fn from_manifest(
-        manifest: &StudyManifest,
-        is_done: impl Fn(u64) -> bool,
-        console: bool,
-    ) -> Self {
-        Self::new(&manifest.study, &manifest.items, is_done, console)
-    }
-
-    /// A chunk enters the executor: its items are now in flight.
-    pub fn begin_chunk(&mut self, chunk: &[WorkItem]) {
-        for item in chunk {
+    /// A slice of `wave` enters the executor: its tasks are now in
+    /// flight (and refine tasks join the totals).
+    pub fn begin_slice(&mut self, wave: Wave, slice: &[SimTask]) {
+        for task in slice {
+            let k = kind_slot(wave, task);
+            if wave == Wave::Refine {
+                self.total += 1;
+                self.kind_total[k] += 1;
+            }
             self.in_flight += 1;
-            self.kind_in_flight[kind_slot(item)] += 1;
+            self.kind_in_flight[k] += 1;
         }
     }
 
-    /// A chunk's results committed: in-flight items became completed.
-    pub fn finish_chunk(&mut self, chunk: &[WorkItem]) {
-        for item in chunk {
+    /// A slice's results are in the log: in-flight tasks completed.
+    pub fn finish_slice(&mut self, wave: Wave, slice: &[SimTask]) {
+        for task in slice {
+            let k = kind_slot(wave, task);
             self.in_flight = self.in_flight.saturating_sub(1);
-            let k = kind_slot(item);
             self.kind_in_flight[k] = self.kind_in_flight[k].saturating_sub(1);
             self.completed += 1;
             self.kind_completed[k] += 1;
@@ -135,6 +135,12 @@ impl StudyProgress {
     /// Items completed so far (resumed + executed).
     pub fn completed(&self) -> u64 {
         self.completed
+    }
+
+    /// Items known so far: the manifest's plus the refine tasks whose
+    /// slices started.
+    pub fn total(&self) -> u64 {
+        self.total
     }
 
     /// `(items_per_second, eta_seconds)` over the items *this process*
@@ -235,57 +241,69 @@ impl StudyProgress {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::checkpoint::ItemKind;
-
-    fn item(id: u64, kind: ItemKind) -> WorkItem {
-        WorkItem { id, cell: 0, kind, trace_lo: 0, trace_hi: 1 }
-    }
 
     fn items() -> Vec<WorkItem> {
-        vec![
-            item(0, ItemKind::Policy { policy: 0 }),
-            item(1, ItemKind::Policy { policy: 1 }),
-            item(2, ItemKind::LowerBound),
-            item(3, ItemKind::Coarse { candidate: 0 }),
-            item(4, ItemKind::Coarse { candidate: 1 }),
-            item(5, ItemKind::Refine),
+        [
+            SimTask::Policy { policy: 0, trace: 0 },
+            SimTask::Policy { policy: 1, trace: 0 },
+            SimTask::LowerBound { trace: 0 },
+            SimTask::Candidate { candidate: 0, trace: 0 },
+            SimTask::Candidate { candidate: 1, trace: 0 },
         ]
+        .into_iter()
+        .enumerate()
+        .map(|(id, task)| WorkItem { id: id as u64, cell: 0, task })
+        .collect()
+    }
+
+    fn tasks(all: &[WorkItem]) -> Vec<SimTask> {
+        all.iter().map(|i| i.task).collect()
     }
 
     #[test]
     fn seeds_totals_per_kind_and_counts_resumed_as_completed() {
         let p = StudyProgress::new("s", &items(), |id| id < 2, false);
-        assert_eq!(p.total, 6);
+        assert_eq!(p.total, 5);
         assert_eq!(p.resumed, 2);
         assert_eq!(p.completed, 2);
-        assert_eq!(p.kind_total, [2, 1, 2, 1]);
+        assert_eq!(p.kind_total, [2, 1, 2, 0]);
         assert_eq!(p.kind_completed, [2, 0, 0, 0]);
         assert_eq!(p.in_flight, 0);
     }
 
     #[test]
-    fn chunk_transitions_move_items_in_flight_then_completed() {
-        let all = items();
-        let mut p = StudyProgress::new("s", &all, |_| false, false);
-        p.begin_chunk(&all[0..3]);
+    fn slice_transitions_move_items_in_flight_then_completed() {
+        let all = tasks(&items());
+        let mut p = StudyProgress::new("s", &items(), |_| false, false);
+        p.begin_slice(Wave::Roster, &all[0..3]);
         assert_eq!(p.in_flight, 3);
         assert_eq!(p.kind_in_flight, [2, 1, 0, 0]);
         assert_eq!(p.completed, 0);
-        p.finish_chunk(&all[0..3]);
+        p.finish_slice(Wave::Roster, &all[0..3]);
         assert_eq!(p.in_flight, 0);
         assert_eq!(p.completed, 3);
         assert_eq!(p.kind_completed, [2, 1, 0, 0]);
     }
 
     #[test]
+    fn refine_slices_join_the_totals() {
+        let mut p = StudyProgress::new("s", &items(), |_| true, false);
+        let refine = [SimTask::Candidate { candidate: 2, trace: 0 }];
+        p.begin_slice(Wave::Refine, &refine);
+        assert_eq!((p.total, p.kind_total[3], p.kind_in_flight[3]), (6, 1, 1));
+        p.finish_slice(Wave::Refine, &refine);
+        assert_eq!((p.completed, p.kind_completed[3], p.in_flight), (6, 1, 0));
+    }
+
+    #[test]
     fn snapshot_json_quarantines_wall_clock_fields() {
-        let all = items();
-        let mut p = StudyProgress::new("s", &all, |id| id == 0, false);
-        p.begin_chunk(&all[1..3]);
+        let all = tasks(&items());
+        let mut p = StudyProgress::new("s", &items(), |id| id == 0, false);
+        p.begin_slice(Wave::Roster, &all[1..3]);
         let doc = p.snapshot_json();
         // Deterministic head...
         assert!(doc.contains("\"study\": \"s\""), "{doc}");
-        assert!(doc.contains("\"total\": 6,"), "{doc}");
+        assert!(doc.contains("\"total\": 5,"), "{doc}");
         assert!(doc.contains("\"completed\": 1,"), "{doc}");
         assert!(doc.contains("\"in_flight\": 2,"), "{doc}");
         assert!(doc.contains("\"resumed\": 1,"), "{doc}");
@@ -304,15 +322,15 @@ mod tests {
 
     #[test]
     fn rate_and_eta_appear_once_items_execute() {
-        let all = items();
-        let mut p = StudyProgress::new("s", &all, |_| false, false);
-        p.begin_chunk(&all);
-        p.finish_chunk(&all[0..4]);
+        let all = tasks(&items());
+        let mut p = StudyProgress::new("s", &items(), |_| false, false);
+        p.begin_slice(Wave::Roster, &all);
+        p.finish_slice(Wave::Roster, &all[0..4]);
         let (rate, eta) = p
             .rate_eta(p.start_seconds + 2.0)
             .expect("executed items must yield a rate");
         assert!((rate - 2.0).abs() < 1e-12, "{rate}");
-        assert!((eta - 1.0).abs() < 1e-12, "{eta}");
+        assert!((eta - 0.5).abs() < 1e-12, "{eta}");
         let doc = p.snapshot_json();
         assert!(!doc.contains("\"items_per_second\": null"), "{doc}");
     }

@@ -10,17 +10,15 @@
 //! This layer is pure arithmetic over [`ExecOutput`] — no simulation,
 //! no I/O — so its cost shows up as the `aggregate` perf stage and its
 //! output is a deterministic function of the executor's (already
-//! thread-count-independent) results.
+//! worker-count-independent) results. In-memory runs and durable
+//! studies reach it the same way: through [`crate::runner::run_cell`].
 
-use crate::checkpoint::{ItemKind, ItemPayload, WorkItem};
-use crate::error::Error;
-use crate::exec::{ExecOutput, PolicyCell, SearchOutput};
+use crate::exec::{ExecOutput, PolicyCell};
 use crate::perf::PipelinePerf;
-use crate::plan::{self, SimPlan};
+use crate::plan::SimPlan;
 use crate::runner::{PolicyOutcome, ScenarioResult};
 use crate::scenario::Scenario;
 use ckpt_math::Summary;
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 fn no_baseline() -> String {
@@ -146,146 +144,6 @@ pub fn reduce(
     }
 }
 
-fn incomplete(what: &str, id: u64) -> Error {
-    Error::Checkpoint { reason: format!("incomplete study: {what} item {id} has no payload") }
-}
-
-/// Commit layer of the checkpointed study runner: fold one cell's
-/// persisted [`ItemPayload`]s — in task-ID order, regardless of the
-/// order items completed in across any number of processes — back into
-/// the [`ExecOutput`] + [`PipelinePerf`] arithmetic of the live
-/// executor, then [`reduce`] as usual. Because every per-trace float is
-/// restored from its exact bit pattern and every reduction here mirrors
-/// [`crate::exec::execute`] operation for operation, the resulting
-/// [`ScenarioResult`] serialises byte-identically to an uninterrupted
-/// in-memory run.
-///
-/// # Errors
-/// [`Error::Cell`] (wrapping the scenario's build failure) when the
-/// cell's distribution could not be built; [`Error::Checkpoint`] when a
-/// required item payload is missing or has the wrong shape — a commit
-/// must never guess.
-pub fn commit(
-    scenario: &Scenario,
-    sim_plan: &SimPlan,
-    cell_items: &[WorkItem],
-    completed: &BTreeMap<u64, ItemPayload>,
-) -> Result<ScenarioResult, Error> {
-    // An unbuildable distribution marks every item of the cell; surface
-    // the *typed* build error (re-derived, deterministic) with the cell
-    // label attached, exactly as `Study::run_all` would have.
-    if cell_items
-        .iter()
-        .any(|i| matches!(completed.get(&i.id), Some(ItemPayload::CellFailed { .. })))
-    {
-        let source = match scenario.dist.try_build() {
-            Err(e) => e,
-            Ok(_) => Error::Checkpoint {
-                reason: format!(
-                    "cell `{}` persisted as failed but its distribution now builds — \
-                     stale store",
-                    scenario.label
-                ),
-            },
-        };
-        return Err(Error::for_cell(&scenario.label, source));
-    }
-
-    let mut perf = PipelinePerf::default();
-    let mut policy_build: Vec<Result<(), Error>> =
-        (0..sim_plan.kinds.len()).map(|_| Ok(())).collect();
-    let mut cells: Vec<Vec<Option<PolicyCell>>> =
-        vec![vec![None; sim_plan.traces]; sim_plan.kinds.len()];
-    let mut lower_bounds = sim_plan.lower_bound.then(|| vec![0.0f64; sim_plan.traces]);
-    // columns[candidate] = per-trace makespans (coarse and refine items
-    // both land here, as in the live search's shared `columns`).
-    let mut columns: Vec<Option<Vec<f64>>> = vec![None; sim_plan.grid.len()];
-
-    for item in cell_items {
-        match (item.kind, completed.get(&item.id)) {
-            (ItemKind::Policy { policy }, Some(ItemPayload::Policy { built, reason, stats })) => {
-                if *built {
-                    for (k, st) in stats.iter().enumerate() {
-                        cells[policy][item.trace_lo + k] = Some(PolicyCell {
-                            makespan: st.makespan_f64(),
-                            failures: st.failures,
-                            chunk_min: f64::from_bits(st.chunk_min),
-                            chunk_max: f64::from_bits(st.chunk_max),
-                        });
-                        perf.decisions += st.decisions;
-                        perf.failures += st.failures;
-                    }
-                } else {
-                    // The registry's failure is deterministic, so every
-                    // block of this policy carries the same reason; the
-                    // row only needs its Display (reduce stringifies).
-                    policy_build[policy] = Err(Error::Policy {
-                        name: sim_plan.policy_names[policy].clone(),
-                        reason: reason.clone(),
-                    });
-                }
-            }
-            (ItemKind::LowerBound, Some(ItemPayload::LowerBound { makespans })) => {
-                if let Some(lb) = &mut lower_bounds {
-                    for (k, &bits) in makespans.iter().enumerate() {
-                        lb[item.trace_lo + k] = f64::from_bits(bits);
-                    }
-                }
-            }
-            (ItemKind::Coarse { candidate }, Some(ItemPayload::Coarse { stats })) => {
-                let col =
-                    columns[candidate].get_or_insert_with(|| vec![0.0; sim_plan.traces]);
-                for (k, st) in stats.iter().enumerate() {
-                    col[item.trace_lo + k] = st.makespan_f64();
-                    perf.decisions += st.decisions;
-                    perf.failures += st.failures;
-                }
-                perf.candidate_sims += stats.len() as u64;
-            }
-            (ItemKind::Refine, Some(ItemPayload::Refine { columns: refined })) => {
-                for rc in refined {
-                    let col = columns[rc.candidate]
-                        .get_or_insert_with(|| vec![0.0; sim_plan.traces]);
-                    for (t, st) in rc.stats.iter().enumerate() {
-                        col[t] = st.makespan_f64();
-                        perf.decisions += st.decisions;
-                        perf.failures += st.failures;
-                    }
-                    perf.candidate_sims += rc.stats.len() as u64;
-                }
-            }
-            (ItemKind::Policy { .. }, _) => return Err(incomplete("policy", item.id)),
-            (ItemKind::LowerBound, _) => return Err(incomplete("lower-bound", item.id)),
-            (ItemKind::Coarse { .. }, _) => return Err(incomplete("coarse", item.id)),
-            (ItemKind::Refine, _) => return Err(incomplete("refine", item.id)),
-        }
-    }
-
-    perf.policy_sims =
-        policy_build.iter().filter(|b| b.is_ok()).count() as u64 * sim_plan.traces as u64;
-    let search = if sim_plan.grid.is_empty() {
-        None
-    } else {
-        perf.candidate_grid_size = sim_plan.grid.len() as u64;
-        // Winner by mean makespan over every evaluated column, means
-        // summed in trace order — the live search's final reduction.
-        let means: Vec<Option<f64>> = columns
-            .iter()
-            .map(|c| c.as_ref().map(|col| col.iter().sum::<f64>() / col.len().max(1) as f64))
-            .collect();
-        plan::winner(&means).and_then(|w| {
-            columns[w]
-                .take()
-                .map(|column| SearchOutput { factor: sim_plan.grid[w], column })
-        })
-    };
-
-    let out = ExecOutput { policy_build, cells, lower_bounds, search };
-    let mut result = reduce(scenario, sim_plan, &out, &mut perf);
-    result.perf = perf;
-    Ok(result)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -364,28 +222,5 @@ mod tests {
             r.outcomes[1].error.as_deref(),
             Some("Liu requires a Weibull (or Exponential) fit")
         );
-    }
-
-    #[test]
-    fn commit_refuses_missing_payloads() {
-        let sc = Scenario::single_processor(
-            DistSpec::Exponential { mtbf: 6.0 * 3_600.0 },
-            2,
-        );
-        let sim_plan = plan_scenario(
-            &sc,
-            &[crate::policies_spec::PolicyKind::Young],
-            &RunnerOptions { period_lb: None, lower_bound: false, ..RunnerOptions::default() },
-        );
-        let items = vec![WorkItem {
-            id: 0,
-            cell: 0,
-            kind: ItemKind::Policy { policy: 0 },
-            trace_lo: 0,
-            trace_hi: 2,
-        }];
-        let completed = BTreeMap::new();
-        let err = commit(&sc, &sim_plan, &items, &completed).expect_err("nothing completed");
-        assert!(err.to_string().contains("incomplete study"), "{err}");
     }
 }

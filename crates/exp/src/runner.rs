@@ -5,18 +5,25 @@
 //!
 //! 1. [`crate::plan::plan_scenario`] — pure `Scenario → SimPlan`
 //!    (which sims run, in which waves, on which traces);
-//! 2. [`crate::exec::execute`] — the rayon executor draining the plan
-//!    against cached traces, with policy-build failures as values;
+//! 2. [`crate::exec::drive`] — the work-stealing engine draining the
+//!    plan against cached traces into a task log, with policy-build
+//!    failures as values;
 //! 3. [`crate::reduce::reduce`] — fold into the §4.1 degradation rows.
+//!
+//! Steps 2 and 3 are [`run_cell`], which durable studies
+//! ([`crate::checkpoint::run_study`]) call per cell with their store's
+//! log; the in-memory path passes an empty log and no store.
 //!
 //! This module keeps the user-facing types: [`RunnerOptions`],
 //! [`PeriodSearch`], [`PolicyOutcome`], [`ScenarioResult`], and the
 //! period factor grids (re-exported from [`crate::plan`]).
 
 use crate::error::Error;
+use crate::exec::{Recorder, TaskLog};
 use crate::perf::PipelinePerf;
+use crate::plan::SimPlan;
 use crate::policies_spec::PolicyKind;
-use crate::scenario::Scenario;
+use crate::scenario::{BuiltDist, Scenario};
 use ckpt_sim::SimOptions;
 use serde::Serialize;
 use std::time::Instant;
@@ -194,22 +201,44 @@ pub fn run_scenario_checked(
     options: &RunnerOptions,
 ) -> Result<ScenarioResult, Error> {
     let t_total = Instant::now();
+    let built = scenario.dist.try_build()?;
+    let sim_plan = crate::plan::plan_scenario(scenario, kinds, options);
+    let mut log = TaskLog::new();
+    let mut result =
+        match run_cell(scenario, &built, &sim_plan, 0, &mut log, &mut crate::exec::InMemory) {
+            Ok(result) => result,
+            Err(never) => match never {},
+        };
+    result.perf.total_seconds = t_total.elapsed().as_secs_f64();
+    Ok(result)
+}
+
+/// One cell through the engine: drain `sim_plan` into `log` (task ids
+/// offset by `base`, logged tasks skipped) and reduce. Under an open
+/// `ckpt-obs` session the result's `perf` carries the counter breakdown.
+///
+/// # Errors
+/// Whatever the recorder halts with between two slices.
+pub(crate) fn run_cell<R: Recorder>(
+    scenario: &Scenario,
+    built: &BuiltDist,
+    sim_plan: &SimPlan,
+    base: u64,
+    log: &mut TaskLog,
+    recorder: &mut R,
+) -> Result<ScenarioResult, R::Halt> {
     let mut scenario_span = ckpt_obs::span("scenario.run");
     if ckpt_obs::active() {
         scenario_span.label("cell", scenario.label.clone());
     }
     let obs_before = ckpt_obs::counters_snapshot();
     let mut perf = PipelinePerf::default();
-    let built = scenario.dist.try_build()?;
-    let sim_plan = crate::plan::plan_scenario(scenario, kinds, options);
-    let out = crate::exec::execute(scenario, &built, &sim_plan, &mut perf);
-    let mut result = crate::reduce::reduce(scenario, &sim_plan, &out, &mut perf);
+    let out = crate::exec::drive(scenario, built, sim_plan, &mut perf, base, log, recorder)?;
+    let mut result = crate::reduce::reduce(scenario, sim_plan, &out, &mut perf);
     if ckpt_obs::active() {
         let delta = ckpt_obs::counters_snapshot().delta_since(&obs_before);
         perf.obs = Some(crate::perf::ObsPerf::from_counters(&delta));
     }
-    drop(scenario_span);
-    perf.total_seconds = t_total.elapsed().as_secs_f64();
     result.perf = perf;
     Ok(result)
 }
@@ -370,10 +399,10 @@ mod tests {
         // candidate index), whatever worker claimed what.
         let sc = tiny_scenario();
         let kinds = [PolicyKind::Young, PolicyKind::OptExp];
-        let run_with = |threads: usize| {
-            crate::steal::set_workers(threads);
-            let out = run_scenario(&sc, &kinds, &fast_options());
-            crate::steal::set_workers(0);
+        let run_with = |workers: usize| {
+            let out =
+                crate::steal::with_workers(workers, || run_scenario(&sc, &kinds, &fast_options()));
+            assert_eq!(out.perf.exec.map(|e| e.workers), Some(workers as u64));
             out
         };
         let one = run_with(1);

@@ -1,7 +1,7 @@
 //! Work-stealing wave executor with a deterministic commit.
 //!
-//! This is the execution substrate under [`crate::exec`] and the
-//! checkpointed study runner ([`crate::checkpoint`]): one injector
+//! This is the execution substrate under [`crate::exec`], the one
+//! engine of in-memory runs and durable studies alike: one injector
 //! queue, per-worker deques, randomized stealing — the coordinator
 //! shape of `DistributedExecution.tla` (SNIPPETS.md Snippet 2) — with
 //! one crucial addition that makes the whole repository's determinism
@@ -86,6 +86,25 @@ fn mark_poisoned(id: usize) {
     if ckpt_obs::active() {
         ckpt_obs::counter_add_labeled("exec.task_poisoned", &format!("task{id:06}"), 1);
     }
+}
+
+/// Run `f` at `n` workers, restoring the previous setting afterwards —
+/// on unwind too. Unit tests that set the worker count go through here:
+/// one lock serialises them, so no test runs at a count another test
+/// wrote.
+#[cfg(test)]
+pub(crate) fn with_workers<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            set_workers(self.0);
+        }
+    }
+    let _serial = LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let _restore = Restore(WORKERS.load(Ordering::Relaxed));
+    set_workers(n);
+    f()
 }
 
 /// The effective worker count for the next wave: the explicitly
@@ -552,12 +571,13 @@ mod tests {
     }
 
     #[test]
-    fn set_workers_overrides_and_resets() {
-        // Not asserting the ambient default (other tests may set it):
-        // only that an explicit value round-trips and 0 resets.
-        set_workers(5);
-        assert_eq!(workers(), 5);
-        set_workers(0);
-        assert!(workers() >= 1);
+    fn with_workers_sets_the_count_and_survives_a_panic() {
+        assert_eq!(with_workers(5, workers), 5);
+        let unwound = catch_unwind(|| with_workers(3, || -> () { panic!("task failed") }));
+        assert!(unwound.is_err());
+        // The lock was released on unwind: the next leg runs.
+        assert_eq!(with_workers(2, workers), 2);
+        // 0 resets to auto-detection.
+        assert!(with_workers(0, workers) >= 1);
     }
 }

@@ -21,6 +21,12 @@
 //! either way (the executor commits in task-ID order), so only the
 //! scheduling counters, never the aggregates, depend on `--threads`.
 //!
+//! **Durability.** [`Study::to_def`] lowers a study into a
+//! [`StudyDef`](crate::checkpoint::StudyDef) for
+//! [`run_study`](crate::checkpoint::run_study), which runs every cell
+//! through the same engine with a checkpoint store attached; its
+//! aggregates are byte-identical to [`Study::run_all`]'s.
+//!
 //! ```no_run
 //! use ckpt_exp::{DistSpec, Scenario, Study};
 //!
@@ -152,9 +158,9 @@ impl Study {
     }
 
     /// Lower this study over `scenarios` into a durable
-    /// [`StudyDef`](crate::checkpoint::StudyDef) for the checkpointed
-    /// runner ([`crate::checkpoint::run_study`]): same per-scenario
-    /// roster, same options, one cell per scenario in input order.
+    /// [`StudyDef`](crate::checkpoint::StudyDef) for
+    /// [`crate::checkpoint::run_study`]: same per-scenario roster, same
+    /// options, one cell per scenario in input order.
     pub fn to_def(&self, id: impl Into<String>, scenarios: &[Scenario]) -> crate::checkpoint::StudyDef {
         crate::checkpoint::StudyDef::new(
             id,
@@ -262,9 +268,11 @@ mod tests {
             .with_options(fast_options());
         let cells = [tiny(6.0 * 3_600.0), tiny(12.0 * 3_600.0)];
         let run_at = |workers: usize| {
-            crate::steal::set_workers(workers);
-            let out = study.run_all(&cells);
-            crate::steal::set_workers(0);
+            let out = crate::steal::with_workers(workers, || study.run_all(&cells));
+            for r in &out {
+                let exec = r.as_ref().ok().and_then(|r| r.perf.exec);
+                assert_eq!(exec.map(|e| e.workers), Some(workers as u64));
+            }
             out
         };
         let seq = run_at(1);

@@ -7,6 +7,8 @@
 //! legitimately `+∞` on decision-free runs) and the strategies leave
 //! them fully arbitrary to prove it.
 //!
+//! Documents of any other store version must be rejected by name.
+//!
 //! Strategies are built from the offline proptest stub's primitives
 //! (ranges, tuples, `prop_map`, `collection::vec`); enum variants are
 //! picked by a generated selector index.
@@ -14,10 +16,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use ckpt_exp::checkpoint::{
-    checkpoint_json, manifest_json, parse_checkpoint, parse_manifest, ItemKind,
-    ItemPayload, ManifestCell, RefineColumn, StudyManifest, TraceStatsBits, WorkItem,
-    STORE_VERSION,
+    checkpoint_json, manifest_json, parse_checkpoint, parse_manifest, ItemPayload,
+    ManifestCell, StudyManifest, TraceStatsBits, WorkItem, STORE_VERSION,
 };
+use ckpt_exp::SimTask;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -67,57 +69,34 @@ fn stats_bits() -> impl Strategy<Value = TraceStatsBits> {
     )
 }
 
-fn refine_column() -> impl Strategy<Value = RefineColumn> {
-    (0..600usize, vec(stats_bits(), 0..3))
-        .prop_map(|(candidate, stats)| RefineColumn { candidate, stats })
-}
-
 /// Every payload variant (selector-indexed); the ingredient pools are
 /// generated unconditionally and the unused ones discarded.
 fn payload() -> impl Strategy<Value = ItemPayload> {
-    (
-        0..5usize,
-        (any_bool(), any_string(), vec(stats_bits(), 0..4)),
-        vec(finite_bits(), 0..4),
-        vec(refine_column(), 0..3),
-        any_string(),
+    (0..3usize, stats_bits(), finite_bits(), any_string()).prop_map(
+        |(variant, stats, bits, reason)| match variant {
+            0 => ItemPayload::Sim(stats),
+            1 => ItemPayload::LowerBound(bits),
+            _ => ItemPayload::Unbuilt { reason },
+        },
     )
-        .prop_map(|(variant, (built, reason, stats), makespans, columns, error)| {
-            match variant {
-                0 => ItemPayload::Policy { built, reason, stats },
-                1 => ItemPayload::LowerBound { makespans },
-                2 => ItemPayload::Coarse { stats },
-                3 => ItemPayload::Refine { columns },
-                _ => ItemPayload::CellFailed { error },
-            }
-        })
 }
 
 fn completed_map() -> impl Strategy<Value = BTreeMap<u64, ItemPayload>> {
     vec((any_u64(), payload()), 0..8).prop_map(|kv| kv.into_iter().collect())
 }
 
-fn item_kind() -> impl Strategy<Value = ItemKind> {
-    (0..4usize, 0..16usize, 0..600usize).prop_map(|(variant, policy, candidate)| {
-        match variant {
-            0 => ItemKind::Policy { policy },
-            1 => ItemKind::LowerBound,
-            2 => ItemKind::Coarse { candidate },
-            _ => ItemKind::Refine,
-        }
-    })
+fn sim_task() -> impl Strategy<Value = SimTask> {
+    (0..3usize, 0..16usize, 0..600usize, 0..1000usize).prop_map(
+        |(variant, policy, candidate, trace)| match variant {
+            0 => SimTask::Policy { policy, trace },
+            1 => SimTask::LowerBound { trace },
+            _ => SimTask::Candidate { candidate, trace },
+        },
+    )
 }
 
 fn work_item() -> impl Strategy<Value = WorkItem> {
-    (any_u64(), 0..8usize, item_kind(), 0..1000usize, 0..32usize).prop_map(
-        |(id, cell, kind, trace_lo, len)| WorkItem {
-            id,
-            cell,
-            kind,
-            trace_lo,
-            trace_hi: trace_lo + len,
-        },
-    )
+    (any_u64(), 0..8usize, sim_task()).prop_map(|(id, cell, task)| WorkItem { id, cell, task })
 }
 
 fn manifest_cell() -> impl Strategy<Value = ManifestCell> {
@@ -128,13 +107,13 @@ fn manifest_cell() -> impl Strategy<Value = ManifestCell> {
             any_string(),
             0..600usize,
             vec(0..600usize, 0..6),
-            (0..16usize, any_bool()),
+            (0..16usize, any_bool(), any_u64()),
         ),
     )
         .prop_map(
             |(
                 (label, stem, procs, traces, dist_id),
-                (roster, options, grid_len, coarse, (refine_step, lower_bound)),
+                (roster, options, grid_len, coarse, (refine_step, lower_bound, task_base)),
             )| ManifestCell {
                 label,
                 stem,
@@ -147,30 +126,26 @@ fn manifest_cell() -> impl Strategy<Value = ManifestCell> {
                 coarse,
                 refine_step,
                 lower_bound,
+                task_base,
             },
         )
 }
 
 fn study_manifest() -> impl Strategy<Value = StudyManifest> {
     (
-        (any_u64(), any_string(), any_string(), 0..64usize, 1..64usize, any_string()),
+        (any_string(), any_string(), 0..64usize, any_string()),
         vec(manifest_cell(), 0..3),
         vec(work_item(), 0..10),
     )
-        .prop_map(
-            |((version, study, fingerprint, lanes, trace_block, golden_hash), cells, items)| {
-                StudyManifest {
-                    version,
-                    study,
-                    fingerprint,
-                    lanes,
-                    trace_block,
-                    golden_hash,
-                    cells,
-                    items,
-                }
-            },
-        )
+        .prop_map(|((study, fingerprint, lanes, golden_hash), cells, items)| StudyManifest {
+            version: STORE_VERSION,
+            study,
+            fingerprint,
+            lanes,
+            golden_hash,
+            cells,
+            items,
+        })
 }
 
 proptest! {
@@ -210,7 +185,7 @@ proptest! {
     ) {
         let mut completed = completed;
         let non_finite = bits | EXP_MASK;
-        completed.insert(id, ItemPayload::LowerBound { makespans: vec![non_finite] });
+        completed.insert(id, ItemPayload::LowerBound(non_finite));
         let src = checkpoint_json("s", "fp", 0, &completed);
         let err = parse_checkpoint(&src)
             .expect_err("a NaN/Inf makespan must not load");
@@ -226,10 +201,26 @@ proptest! {
         let mut stats = stats;
         let mut completed = completed;
         stats.makespan = bits | EXP_MASK;
-        completed.insert(id, ItemPayload::Coarse { stats: vec![stats] });
+        completed.insert(id, ItemPayload::Sim(stats));
         let src = checkpoint_json("s", "fp", 0, &completed);
         let err = parse_checkpoint(&src)
             .expect_err("a NaN/Inf makespan must not load");
         prop_assert!(err.to_string().contains("non-finite"), "{}", err);
+    }
+
+    fn other_store_versions_are_rejected(
+        m in study_manifest(),
+        version in any_u64(),
+        completed in completed_map(),
+    ) {
+        let version = if version == STORE_VERSION { version + 1 } else { version };
+        let stamp = format!("\"version\": {STORE_VERSION}");
+        let other = format!("\"version\": {version}");
+        let manifest = manifest_json(&m).replacen(&stamp, &other, 1);
+        let err = parse_manifest(&manifest).expect_err("another version must not load");
+        prop_assert!(err.to_string().contains("store version"), "{}", err);
+        let ckpt = checkpoint_json("s", "fp", 0, &completed).replacen(&stamp, &other, 1);
+        let err = parse_checkpoint(&ckpt).expect_err("another version must not load");
+        prop_assert!(err.to_string().contains("store version"), "{}", err);
     }
 }

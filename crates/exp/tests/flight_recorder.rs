@@ -163,7 +163,6 @@ fn run_study_leaves_flightrec_and_progress_in_the_store() {
         root: root.clone(),
         interval_items: 2, // force mid-run checkpoint commits
         interval_seconds: 1e9,
-        trace_block: 2,
         ..CheckpointConfig::default()
     };
     let report = match run_study(&def, &config, false).expect("study runs") {

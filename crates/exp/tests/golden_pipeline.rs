@@ -1,6 +1,6 @@
 //! Golden-result pinning: the plan → execute → reduce pipeline must
 //! reproduce the committed `results/golden/*.json` files **byte for
-//! byte**, at any rayon thread count.
+//! byte**, at any worker count of the work-stealing executor.
 //!
 //! The files were generated from the pre-refactor monolithic runner
 //! (via the `gen_golden` bin), so this test is the refactor's
@@ -14,34 +14,49 @@
 
 use ckpt_exp::golden::{golden_cells, golden_json};
 use ckpt_exp::runner::run_scenario;
+use ckpt_exp::steal::set_workers;
 use std::path::PathBuf;
+use std::sync::Mutex;
+
+/// The worker count is process-global: the legs of this binary take
+/// turns.
+static WORKERS: Mutex<()> = Mutex::new(());
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/golden")
 }
 
-fn check_all_cells() {
+/// Run every golden cell at `workers` workers and byte-compare; each
+/// cell must report having run at exactly that count.
+fn check_all_cells(workers: usize) {
+    let _serial = WORKERS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    set_workers(workers);
     for (stem, scenario, kinds, options) in golden_cells() {
         let path = golden_dir().join(format!("{stem}.json"));
         let expected = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        let actual = golden_json(&run_scenario(&scenario, &kinds, &options));
+        let result = run_scenario(&scenario, &kinds, &options);
         assert_eq!(
-            actual, expected,
+            result.perf.exec.map(|e| e.workers),
+            Some(workers as u64),
+            "{stem} ran at another worker count"
+        );
+        assert_eq!(
+            golden_json(&result),
+            expected,
             "pipeline output diverged from {} — bit-identity broken",
             path.display()
         );
     }
+    set_workers(0);
 }
 
 #[test]
-fn pipeline_reproduces_golden_results_single_threaded() {
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
-    pool.install(check_all_cells);
+fn pipeline_reproduces_golden_results_one_worker() {
+    check_all_cells(1);
 }
 
 #[test]
-fn pipeline_reproduces_golden_results_eight_threads() {
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(8).build().expect("pool");
-    pool.install(check_all_cells);
+fn pipeline_reproduces_golden_results_eight_workers() {
+    check_all_cells(8);
 }

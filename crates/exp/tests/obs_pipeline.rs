@@ -2,7 +2,7 @@
 //! it: an open `ckpt-obs` session collects stage/task spans, the
 //! per-fingerprint cache counters, and the `perf.obs` breakdown, while
 //! the pipeline's *results* stay byte-identical with recording on or
-//! off, at any rayon thread count.
+//! off, at any worker count.
 //!
 //! Without the `obs` feature sessions cannot open, so each test
 //! degrades to its recording-off half (the golden check still runs);
@@ -13,13 +13,14 @@
 
 use ckpt_exp::golden::{golden_cells, golden_json};
 use ckpt_exp::runner::{run_scenario, PeriodSearch, RunnerOptions};
+use ckpt_exp::steal::set_workers;
 use ckpt_exp::{DistSpec, PolicyKind, Scenario, Study};
 use ckpt_sim::SimOptions;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
-/// Obs sessions are process-global and exclusive; every test here
-/// records (or must observe a quiet registry), so they serialize.
+/// Obs sessions and the worker count are process-global; every test
+/// here records (or must observe a quiet registry), so they serialize.
 static SESSION_TESTS: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -152,17 +153,24 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/golden")
 }
 
-/// Re-run every golden cell and byte-compare against the committed
-/// files — the same contract as `golden_pipeline.rs`, here exercised
-/// while a recording session is open.
-fn check_all_cells_against_disk() {
+/// Re-run every golden cell at `workers` workers and byte-compare
+/// against the committed files — the same contract as
+/// `golden_pipeline.rs`, here exercised while a recording session is
+/// open.
+fn check_all_cells_against_disk(workers: usize) {
     for (stem, scenario, kinds, options) in golden_cells() {
         let path = golden_dir().join(format!("{stem}.json"));
         let expected = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        let actual = golden_json(&run_scenario(&scenario, &kinds, &options));
+        let result = run_scenario(&scenario, &kinds, &options);
         assert_eq!(
-            actual, expected,
+            result.perf.exec.map(|e| e.workers),
+            Some(workers as u64),
+            "{stem} ran at another worker count"
+        );
+        assert_eq!(
+            golden_json(&result),
+            expected,
             "recording session perturbed {} — obs must be result-invisible",
             path.display()
         );
@@ -172,13 +180,11 @@ fn check_all_cells_against_disk() {
 #[test]
 fn goldens_stay_byte_identical_while_recording() {
     let _serial = lock();
-    for threads in [1usize, 8] {
+    for workers in [1usize, 8] {
         let session = ckpt_obs::ObsSession::start();
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
-        pool.install(check_all_cells_against_disk);
+        set_workers(workers);
+        check_all_cells_against_disk(workers);
+        set_workers(0);
         if let Some(session) = session {
             let data = session.finish();
             assert!(data.counter("sim.runs") > 0, "session must actually have recorded");

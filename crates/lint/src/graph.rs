@@ -384,16 +384,16 @@ mod tests {
             &[
                 (
                     "crates/exp/src/reduce.rs",
-                    "pub fn commit() { helper(); }\nfn helper() { seed(); walk(); }\nfn seed() { let r = rand::thread_rng(); }\nfn walk() { let m: HashMap<u32, f64> = HashMap::new(); for (k, v) in m.iter() { } }\n",
+                    "pub fn reduce() { helper(); }\nfn helper() { seed(); walk(); }\nfn seed() { let r = rand::thread_rng(); }\nfn walk() { let m: HashMap<u32, f64> = HashMap::new(); for (k, v) in m.iter() { } }\n",
                 ),
             ],
-            &cfg(&["ckpt_exp::reduce::commit"]),
+            &cfg(&["ckpt_exp::reduce::reduce"]),
         );
         assert_eq!(msgs.len(), 2, "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("entropy-seeded RNG `thread_rng`")));
         assert!(msgs.iter().any(|m| m.contains("hash-order iteration")));
         assert!(chains
             .iter()
-            .all(|c| c[0] == "ckpt_exp::reduce::commit" && c[1] == "ckpt_exp::reduce::helper"));
+            .all(|c| c[0] == "ckpt_exp::reduce::reduce" && c[1] == "ckpt_exp::reduce::helper"));
     }
 }

@@ -1,7 +1,7 @@
 //! `ckpt-lint` — workspace determinism & safety lint.
 //!
 //! The simulation study is pinned by golden results that must stay
-//! byte-identical at 1 and 8 rayon threads. Nothing in rustc or clippy
+//! byte-identical at 1 and 8 executor workers. Nothing in rustc or clippy
 //! statically prevents the classic determinism killers — unordered
 //! parallel float reduction, hash-order iteration feeding result rows,
 //! wall-clock reads inside sim paths, naked transcendentals bypassing

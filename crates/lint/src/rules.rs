@@ -1,8 +1,8 @@
 //! The rule scanners.
 //!
 //! Each rule protects one concrete invariant of the golden-result
-//! bit-identity contract (byte-identical study output at 1 and 8 rayon
-//! threads) or of the workspace's safety discipline. Scanners are
+//! bit-identity contract (byte-identical study output at 1 and 8
+//! executor workers) or of the workspace's safety discipline. Scanners are
 //! lexical — they work on the token stream of one file, never across
 //! files — so each rule documents exactly what it can and cannot see.
 

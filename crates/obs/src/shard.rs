@@ -84,8 +84,9 @@ impl ShardData {
     }
 }
 
-/// All shards ever registered (rayon pool threads live for the process,
-/// so this list stays small and stable).
+/// All shards ever registered, one per thread that recorded. The wave
+/// executor's workers are scoped per wave, so a long recording grows
+/// this list by one shard per spawned worker.
 static REGISTRY: Mutex<Vec<Arc<Mutex<ShardData>>>> = Mutex::new(Vec::new());
 
 fn relock<'a, T>(

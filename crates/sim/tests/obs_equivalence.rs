@@ -6,8 +6,9 @@
 //! only after their results are final, so an open session can never
 //! feed back into control flow. This property test drives random
 //! Weibull scenarios through [`simulate_traceset`] once without a
-//! session and once per rayon thread count (1 and 8) with a session
-//! recording, and compares the full [`RunStats`] structs bit for bit.
+//! session, then — under one recording session — once on the test's own
+//! thread and eight times at once on eight scoped threads, and compares
+//! the full [`RunStats`] structs bit for bit.
 //!
 //! Without the `obs` feature sessions cannot open and the test reduces
 //! to a determinism check; `scripts/check.sh` runs it with the feature
@@ -71,25 +72,26 @@ proptest! {
         let case = Case { shape, mtbf, work, checkpoint, units, seed };
         let baseline = run_case(case);
 
-        for threads in [1usize, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool");
-            let obs = ckpt_obs::ObsSession::start(); // None without `obs`
-            let recorded = pool.install(|| run_case(case));
-            if let Some(obs) = obs {
-                let data = obs.finish();
-                prop_assert!(
-                    data.counter("sim.runs") >= 1,
-                    "session must actually have recorded the run"
-                );
-            }
+        let obs = ckpt_obs::ObsSession::start(); // None without `obs`
+        let single = run_case(case);
+        let concurrent: Vec<RunStats> = std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..8).map(|_| scope.spawn(move || run_case(case))).collect();
+            runs.into_iter().map(|run| run.join().expect("case thread panicked")).collect()
+        });
+        if let Some(obs) = obs {
+            let data = obs.finish();
+            prop_assert!(
+                data.counter("sim.runs") >= 9,
+                "session must actually have recorded every run"
+            );
+        }
+        prop_assert_eq!(&baseline, &single, "recording changed RunStats");
+        for (thread, recorded) in concurrent.iter().enumerate() {
             prop_assert_eq!(
                 &baseline,
-                &recorded,
-                "recording at {} thread(s) changed RunStats",
-                threads
+                recorded,
+                "recording on thread {} of 8 changed RunStats",
+                thread
             );
         }
     }

@@ -3,7 +3,7 @@
 #
 #   1. release build of the whole workspace;
 #   2. the full test suite (unit + integration, incl. the golden-result
-#      bit-identity pin at 1 and 8 rayon threads);
+#      bit-identity pin at 1 and 8 executor workers);
 #   3. the observability gate: build + test the workspace with the
 #      `obs` feature on, so the live recorder paths (session collection,
 #      obs/no-obs bit-identity, prewarm hit-rate proof) are exercised —
